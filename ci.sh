@@ -1,7 +1,9 @@
 #!/bin/sh
 # CI gate: vet, build, the full test suite, the race detector (the
 # pipeline runs per-CFSM synthesis on concurrent workers), the bdd
-# ownership checks enabled under the bdddebug build tag, a bounded
+# ownership checks enabled under the bdddebug build tag (on the kernel
+# and on every package that hands managers through mvar's space
+# pool), a bounded
 # co-simulation fuzz smoke (fixed seeds, so failures are replayable
 # with the printed `polisc fuzz -seed ... -config ...` line) run both
 # with and without the s-graph reduction engine, with same-cycle
@@ -21,7 +23,7 @@ go vet ./...
 go build ./...
 go test ./...
 go test -race ./...
-go test -tags bdddebug ./internal/bdd/
+go test -tags bdddebug ./internal/bdd/ ./internal/mvar/ ./internal/sgraph/ ./internal/pipeline/ ./internal/sim/
 NETFUZZ_RUNS=800 go test -race -run TestFuzzCampaignRandom ./internal/netfuzz/
 NETFUZZ_REDUCE_RUNS=200 go test -race -run TestFuzzCampaignReduce ./internal/netfuzz/
 NETFUZZ_STORM_RUNS=200 go test -race -run TestFuzzCampaignStorm ./internal/netfuzz/

@@ -77,6 +77,20 @@
 // and the mk-reaching helpers VarNode/NVarNode) then panics when
 // called from a goroutine other than the owner (see owner_debug.go);
 // a deliberate handoff can re-bind ownership with TransferOwnership.
+//
+// A Manager's lifecycle is New → use → Reset → reuse. Reset clears
+// everything observable — nodes, variables, roots, statistics — and
+// keeps the storage: the arena and free list, the order and group
+// arrays, the traversal and sifting scratch, the grown operation
+// cache (invalidated by a generation bump) and every unique-table
+// slot array, which table growth and GC then reuse instead of
+// allocating. internal/mvar pools whole spaces this way: Release
+// resets a space and puts it in a sync.Pool, NewSpace takes one out
+// and re-binds its owner, so consecutive modules on one worker share
+// one manager's storage. Retained storage is bounded by the largest
+// module a pooled manager has seen, and the pool drops idle managers
+// across garbage collections. Under bdddebug a released manager is
+// unbound (ReleaseOwnership) and panics on use until re-bound.
 package bdd
 
 import (
@@ -118,6 +132,7 @@ type node struct {
 type Manager struct {
 	nodes  []node
 	unique []uniqueTable // per-variable unique tables, indexed by Var
+	slots  slotPool      // free unique-table slot arrays, by size
 	free   []Node        // recycled arena slots (regular handles)
 
 	perm    []int // Var -> level
@@ -139,6 +154,7 @@ type Manager struct {
 	visitGen    uint32
 	swapScratch []Node  // swapLevels' affected-node list
 	varCount    []int32 // per-variable live counts during GC
+	blockBuf    []block // blocks' result, rebuilt by every call
 
 	// sift holds the incremental reordering-cost state: per-variable
 	// reachable-node counters maintained by swapLevels itself, the
@@ -190,6 +206,10 @@ type Manager struct {
 	CostEvals int
 }
 
+// defaultAutoGCMin is the arena size below which sifting skips its
+// automatic collections.
+const defaultAutoGCMin = 4096
+
 // New creates an empty manager with no variables.
 func New() *Manager {
 	m := &Manager{
@@ -204,8 +224,61 @@ func New() *Manager {
 	// The single terminal occupies arena slot 0.
 	m.nodes = append(m.nodes, node{v: -1})
 	m.liveAfterGC = 1
-	m.autoGCMin = 4096
+	m.autoGCMin = defaultAutoGCMin
 	return m
+}
+
+// Reset returns m to the observable state New leaves a manager in —
+// only the terminal node, no variables, no protected roots, every
+// statistic zero — while keeping its storage: the node arena, the free
+// list, the order and group arrays, the traversal and sifting scratch,
+// and every unique-table slot array (moved to the manager's slot pool
+// for the next module's tables to reuse). The operation cache keeps
+// its grown size and is invalidated by a generation bump. Handles and
+// variables issued before Reset become invalid.
+//
+// Everything a manager computes is independent of the storage it
+// inherits: a reset manager allocates arena slots in exactly the order
+// a fresh one does, so sizes, sift orders and handles match. Only the
+// operation-cache counters (Hits, Misses, CacheResets, Evictions) can
+// differ, because a larger cache hits more and never needs to grow.
+func (m *Manager) Reset() {
+	m.checkOwner()
+	for v := range m.unique {
+		m.slots.put(m.unique[v].slots)
+	}
+	clear(m.names)
+	clear(m.roots)
+	m.bumpCacheGen()
+	*m = Manager{
+		nodes:       m.nodes[:1],
+		unique:      m.unique[:0],
+		slots:       m.slots,
+		free:        m.free[:0],
+		perm:        m.perm[:0],
+		invperm:     m.invperm[:0],
+		names:       m.names[:0],
+		group:       m.group[:0],
+		cache:       m.cache,
+		cacheGen:    m.cacheGen,
+		cacheShift:  m.cacheShift,
+		roots:       m.roots,
+		markStack:   m.markStack[:0],
+		visited:     m.visited,
+		visitGen:    m.visitGen,
+		swapScratch: m.swapScratch[:0],
+		varCount:    m.varCount,
+		blockBuf:    m.blockBuf[:0],
+		sift: siftState{
+			ref:      m.sift.ref[:0],
+			keys:     m.sift.keys[:0],
+			interact: m.sift.interact[:0],
+			stack:    m.sift.stack[:0],
+		},
+		liveAfterGC: 1,
+		autoGCMin:   defaultAutoGCMin,
+		owner:       m.owner,
+	}
 }
 
 // checkOwner panics when the calling goroutine is not the Manager's
@@ -213,6 +286,9 @@ func New() *Manager {
 func (m *Manager) checkOwner() {
 	if ownerChecks {
 		if g := goid(); g != m.owner {
+			if m.owner == 0 {
+				panic(fmt.Sprintf("bdd: released Manager used from goroutine %d; re-bind it with TransferOwnership before reuse", g))
+			}
 			panic(fmt.Sprintf("bdd: Manager owned by goroutine %d used from goroutine %d; a Manager is single-goroutine (see package doc)", m.owner, g))
 		}
 	}
@@ -225,6 +301,16 @@ func (m *Manager) checkOwner() {
 func (m *Manager) TransferOwnership() {
 	if ownerChecks {
 		m.owner = goid()
+	}
+}
+
+// ReleaseOwnership unbinds the Manager from every goroutine: under the
+// bdddebug tag every checked entry point then panics until
+// TransferOwnership re-binds it, which catches use of a manager handed
+// back to a pool. It is a no-op unless built with the bdddebug tag.
+func (m *Manager) ReleaseOwnership() {
+	if ownerChecks {
+		m.owner = 0
 	}
 }
 
@@ -320,7 +406,7 @@ func (m *Manager) mk(v Var, lo, hi Node) Node {
 	if live := len(m.nodes) - len(m.free); live > m.PeakNodes {
 		m.PeakNodes = live
 	}
-	m.unique[v].insert(m.nodes, lo, hi, n)
+	m.unique[v].insert(m.nodes, &m.slots, lo, hi, n)
 	return n ^ c
 }
 
@@ -390,7 +476,7 @@ func (m *Manager) gc(extra []Node) {
 		}
 	}
 	for v := range m.unique {
-		m.unique[v].reset(int(cnt[v]))
+		m.unique[v].reset(&m.slots, int(cnt[v]))
 	}
 	live := 1
 	for i := 1; i < len(m.nodes); i++ {
@@ -401,7 +487,7 @@ func (m *Manager) gc(extra []Node) {
 		}
 		if nd.mark {
 			nd.mark = false
-			m.unique[nd.v].insert(m.nodes, nd.lo, nd.hi, Node(i)<<1)
+			m.unique[nd.v].insert(m.nodes, &m.slots, nd.lo, nd.hi, Node(i)<<1)
 			live++
 			continue
 		}

@@ -26,8 +26,10 @@ type diffPair struct {
 	ref  []refbdd.Node
 }
 
-func newDiffPair(nvars int) *diffPair {
-	p := &diffPair{m: New(), rm: refbdd.New()}
+// newDiffPair starts a pair over m, which must be empty (fresh from
+// New or just Reset), and a fresh reference kernel.
+func newDiffPair(m *Manager, nvars int) *diffPair {
+	p := &diffPair{m: m, rm: refbdd.New()}
 	for i := 0; i < nvars; i++ {
 		name := string(rune('a' + i))
 		p.vs = append(p.vs, p.m.NewVar(name))
@@ -95,6 +97,61 @@ func sameInts(a, b []int) bool {
 	return true
 }
 
+// randomSteps applies steps random operations — every public
+// connective, quantification, cofactoring, Intersects, and a GC every
+// 17 steps — to both kernels, checking every result.
+func (p *diffPair) randomSteps(t *testing.T, r *rand.Rand, seed int64, steps int) {
+	t.Helper()
+	pick := func() int { return r.Intn(len(p.live)) }
+	for step := 0; step < steps; step++ {
+		i, j, k := pick(), pick(), pick()
+		var idx int
+		switch op := r.Intn(10); op {
+		case 0:
+			idx = p.push(p.m.Not(p.live[i]), p.rm.Not(p.ref[i]))
+		case 1:
+			idx = p.push(p.m.And(p.live[i], p.live[j]), p.rm.And(p.ref[i], p.ref[j]))
+		case 2:
+			idx = p.push(p.m.Or(p.live[i], p.live[j]), p.rm.Or(p.ref[i], p.ref[j]))
+		case 3:
+			idx = p.push(p.m.Xor(p.live[i], p.live[j]), p.rm.Xor(p.ref[i], p.ref[j]))
+		case 4:
+			idx = p.push(p.m.Xnor(p.live[i], p.live[j]), p.rm.Xnor(p.ref[i], p.ref[j]))
+		case 5:
+			idx = p.push(p.m.Ite(p.live[i], p.live[j], p.live[k]),
+				p.rm.Ite(p.ref[i], p.ref[j], p.ref[k]))
+		case 6:
+			idx = p.push(p.m.Implies(p.live[i], p.live[j]), p.rm.Implies(p.ref[i], p.ref[j]))
+		case 7:
+			v := r.Intn(len(p.vs))
+			val := r.Intn(2) == 1
+			idx = p.push(p.m.Cofactor(p.live[i], p.vs[v], val),
+				p.rm.Cofactor(p.ref[i], p.rvs[v], val))
+		case 8:
+			n := 1 + r.Intn(3)
+			vs := make([]Var, n)
+			rvs := make([]refbdd.Var, n)
+			for q := 0; q < n; q++ {
+				w := r.Intn(len(p.vs))
+				vs[q], rvs[q] = p.vs[w], p.rvs[w]
+			}
+			idx = p.push(p.m.Exists(p.live[i], vs...), p.rm.Exists(p.ref[i], rvs...))
+		default:
+			if got, want := p.m.Intersects(p.live[i], p.live[j]),
+				p.rm.Intersects(p.ref[i], p.ref[j]); got != want {
+				t.Fatalf("seed %d step %d: Intersects(%d,%d): live %v, reference %v",
+					seed, step, i, j, got, want)
+			}
+			continue
+		}
+		p.check(t, idx, "op result")
+		if step%17 == 11 {
+			p.m.GC()
+			p.rm.GC()
+		}
+	}
+}
+
 // TestDifferentialVsReference runs randomized operation scripts —
 // every public connective, quantification, cofactoring, GC, and
 // sifting — against the pre-change kernel snapshot.
@@ -106,55 +163,8 @@ func TestDifferentialVsReference(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		seed := int64(9200 + trial)
 		r := rand.New(rand.NewSource(seed))
-		p := newDiffPair(6 + r.Intn(4))
-		pick := func() int { return r.Intn(len(p.live)) }
-		for step := 0; step < steps; step++ {
-			i, j, k := pick(), pick(), pick()
-			var idx int
-			switch op := r.Intn(10); op {
-			case 0:
-				idx = p.push(p.m.Not(p.live[i]), p.rm.Not(p.ref[i]))
-			case 1:
-				idx = p.push(p.m.And(p.live[i], p.live[j]), p.rm.And(p.ref[i], p.ref[j]))
-			case 2:
-				idx = p.push(p.m.Or(p.live[i], p.live[j]), p.rm.Or(p.ref[i], p.ref[j]))
-			case 3:
-				idx = p.push(p.m.Xor(p.live[i], p.live[j]), p.rm.Xor(p.ref[i], p.ref[j]))
-			case 4:
-				idx = p.push(p.m.Xnor(p.live[i], p.live[j]), p.rm.Xnor(p.ref[i], p.ref[j]))
-			case 5:
-				idx = p.push(p.m.Ite(p.live[i], p.live[j], p.live[k]),
-					p.rm.Ite(p.ref[i], p.ref[j], p.ref[k]))
-			case 6:
-				idx = p.push(p.m.Implies(p.live[i], p.live[j]), p.rm.Implies(p.ref[i], p.ref[j]))
-			case 7:
-				v := r.Intn(len(p.vs))
-				val := r.Intn(2) == 1
-				idx = p.push(p.m.Cofactor(p.live[i], p.vs[v], val),
-					p.rm.Cofactor(p.ref[i], p.rvs[v], val))
-			case 8:
-				n := 1 + r.Intn(3)
-				vs := make([]Var, n)
-				rvs := make([]refbdd.Var, n)
-				for q := 0; q < n; q++ {
-					w := r.Intn(len(p.vs))
-					vs[q], rvs[q] = p.vs[w], p.rvs[w]
-				}
-				idx = p.push(p.m.Exists(p.live[i], vs...), p.rm.Exists(p.ref[i], rvs...))
-			default:
-				if got, want := p.m.Intersects(p.live[i], p.live[j]),
-					p.rm.Intersects(p.ref[i], p.ref[j]); got != want {
-					t.Fatalf("seed %d step %d: Intersects(%d,%d): live %v, reference %v",
-						seed, step, i, j, got, want)
-				}
-				continue
-			}
-			p.check(t, idx, "op result")
-			if step%17 == 11 {
-				p.m.GC()
-				p.rm.GC()
-			}
-		}
+		p := newDiffPair(New(), 6+r.Intn(4))
+		p.randomSteps(t, r, seed, steps)
 		if err := p.m.CheckInvariants(); err != nil {
 			t.Fatalf("seed %d: live kernel invariants: %v", seed, err)
 		}
@@ -189,7 +199,7 @@ func TestDifferentialCharFn(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		nin := 4 + r.Intn(3)  // state+input bits
 		nout := 2 + r.Intn(3) // output bits
-		p := newDiffPair(nin + nout)
+		p := newDiffPair(New(), nin+nout)
 		inIdx := make([]int, nin) // pair indices of the input literals
 		for i := 0; i < nin; i++ {
 			inIdx[i] = 2 + i // after False, True

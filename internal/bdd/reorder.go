@@ -85,7 +85,7 @@ func (m *Manager) swapLevels(x int) int {
 		m.nodes[n>>1].v = v
 		m.nodes[n>>1].lo = n0
 		m.nodes[n>>1].hi = n1
-		m.unique[v].insert(m.nodes, n0, n1, n)
+		m.unique[v].insert(m.nodes, &m.slots, n0, n1, n)
 		// Cost bookkeeping, per polarity: the cost counters track
 		// classical (node, polarity) pairs, so each cost-reachable
 		// polarity of n moves its own count from u to v and re-points
@@ -151,8 +151,10 @@ type block struct {
 	size  int // number of levels
 }
 
+// blocks returns the current reordering blocks, top to bottom, in a
+// buffer the next call overwrites.
 func (m *Manager) blocks() []block {
-	var out []block
+	out := m.blockBuf[:0]
 	n := len(m.invperm)
 	for lvl := 0; lvl < n; {
 		g := m.group[m.invperm[lvl]]
@@ -163,6 +165,7 @@ func (m *Manager) blocks() []block {
 		out = append(out, block{gid: g, start: lvl, size: sz})
 		lvl += sz
 	}
+	m.blockBuf = out
 	return out
 }
 

@@ -58,11 +58,11 @@ func (t *uniqueTable) lookup(nodes []node, lo, hi Node) Node {
 }
 
 // insert adds the node with regular handle n and children (lo,hi),
-// which must not already be present. The table grows first when the
-// insert would push the load factor over 3/4.
-func (t *uniqueTable) insert(nodes []node, lo, hi Node, n Node) {
+// which must not already be present. The table grows first (from pool)
+// when the insert would push the load factor over 3/4.
+func (t *uniqueTable) insert(nodes []node, pool *slotPool, lo, hi Node, n Node) {
 	if (int(t.count)+int(t.tombs)+1)*4 > len(t.slots)*3 {
-		t.rehash(nodes, int(t.count)+1)
+		t.rehash(nodes, pool, int(t.count)+1)
 	}
 	mask := uint64(len(t.slots) - 1)
 	i := hashPair(lo, hi) >> t.shift
@@ -110,11 +110,12 @@ func tableSize(want int) int {
 }
 
 // rehash rebuilds the table at a capacity sized for want live entries,
-// dropping every tombstone.
-func (t *uniqueTable) rehash(nodes []node, want int) {
+// dropping every tombstone. The new slot array comes from, and the old
+// one returns to, the manager's slot pool.
+func (t *uniqueTable) rehash(nodes []node, pool *slotPool, want int) {
 	size := tableSize(want)
 	old := t.slots
-	t.slots = make([]Node, size)
+	t.slots = pool.get(size)
 	t.shift = uint8(64 - bits.Len(uint(size-1)))
 	t.tombs = 0
 	mask := uint64(size - 1)
@@ -129,25 +130,55 @@ func (t *uniqueTable) rehash(nodes []node, want int) {
 		}
 		t.slots[i] = s
 	}
+	pool.put(old)
 }
 
 // reset empties the table and sizes it for want live entries; GC uses
 // it to rebuild tables right-sized (shrinking sparse ones, so sift's
 // slot scans stay proportional to live nodes).
-func (t *uniqueTable) reset(want int) {
+func (t *uniqueTable) reset(pool *slotPool, want int) {
 	if want == 0 {
+		pool.put(t.slots)
 		t.slots, t.shift = nil, 0
 		t.count, t.tombs = 0, 0
 		return
 	}
 	size := tableSize(want)
 	if size == len(t.slots) {
-		for i := range t.slots {
-			t.slots[i] = emptySlot
-		}
+		clear(t.slots)
 	} else {
-		t.slots = make([]Node, size)
+		pool.put(t.slots)
+		t.slots = pool.get(size)
 		t.shift = uint8(64 - bits.Len(uint(size-1)))
 	}
 	t.count, t.tombs = 0, 0
+}
+
+// slotPool recycles unique-table slot arrays within one manager, so
+// table growth, GC's right-sizing and Manager.Reset reuse storage
+// instead of allocating it. Bucket k holds free arrays of exactly 1<<k
+// slots (table sizes are powers of two). The pool only ever holds
+// arrays the manager's own tables once used, so it is bounded by the
+// largest set of tables the manager has held.
+type slotPool [64][][]Node
+
+// get returns an all-empty array of size slots (a power of two).
+func (p *slotPool) get(size int) []Node {
+	k := bits.TrailingZeros(uint(size))
+	if n := len(p[k]); n > 0 {
+		s := p[k][n-1]
+		p[k] = p[k][:n-1]
+		clear(s)
+		return s
+	}
+	return make([]Node, size)
+}
+
+// put returns a table's slot array to the pool; nil is ignored.
+func (p *slotPool) put(s []Node) {
+	if len(s) == 0 {
+		return
+	}
+	k := bits.TrailingZeros(uint(len(s)))
+	p[k] = append(p[k], s)
 }

@@ -12,6 +12,7 @@ package mvar
 
 import (
 	"fmt"
+	"sync"
 
 	"polis/internal/bdd"
 )
@@ -47,9 +48,35 @@ type Space struct {
 	byBit map[bdd.Var]*MV
 }
 
-// NewSpace creates an empty variable space over a fresh manager.
+// spacePool recycles released spaces, so consecutive modules on one
+// worker reuse one manager's storage instead of regrowing it. The
+// pool drops idle spaces across garbage collections, which bounds the
+// storage it retains.
+var spacePool = sync.Pool{
+	New: func() any { return &Space{M: bdd.New(), byBit: make(map[bdd.Var]*MV)} },
+}
+
+// NewSpace returns an empty variable space owned by the calling
+// goroutine: a released one from the pool, or one over a fresh
+// manager. Either behaves exactly like the other (see bdd.Reset).
 func NewSpace() *Space {
-	return &Space{M: bdd.New(), byBit: make(map[bdd.Var]*MV)}
+	s := spacePool.Get().(*Space)
+	s.M.TransferOwnership()
+	return s
+}
+
+// Release resets the space and returns it to the pool for a later
+// NewSpace. The caller must hold no further use of the space, its
+// manager, or any variable or BDD handle it issued; under the bdddebug
+// build tag any use of the manager before NewSpace hands it out again
+// panics.
+func (s *Space) Release() {
+	s.M.Reset()
+	s.M.ReleaseOwnership()
+	clear(s.Vars)
+	s.Vars = s.Vars[:0]
+	clear(s.byBit)
+	spacePool.Put(s)
 }
 
 // bitsFor returns the number of bits needed to encode n values.

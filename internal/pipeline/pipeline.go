@@ -155,7 +155,7 @@ cycles per transition: measured [%d, %d], estimated [%d, %d]
 // C and object-code generation, and cost/performance estimation —
 // emitting one EvStage event per stage and one EvBDD event with the
 // module's BDD statistics. A nil Trace disables tracing. The BDD
-// manager is created and used entirely within this call, so
+// space is taken from mvar's pool and released within this call, so
 // concurrent calls never share one.
 func SynthesizeModule(m *cfsm.CFSM, opt Options, tr Trace) (*Artifact, error) {
 	return SynthesizeModuleContext(context.Background(), m, opt, tr)
@@ -175,59 +175,14 @@ func SynthesizeModuleContext(ctx context.Context, m *cfsm.CFSM, opt Options, tr 
 		return nil, err
 	}
 
-	// bddStage emits an EvStage event carrying a snapshot of the
-	// module's BDD manager: live/peak node counts at the stage
-	// boundary plus the op-cache traffic the stage itself generated.
-	var prevHits, prevMisses int
-	bddStage := func(r *cfsm.Reactive, stage Stage, d time.Duration) {
-		ev := Event{Kind: EvStage, Module: m.Name, Stage: stage, Duration: d}
-		if r != nil {
-			mgr := r.Space.M
-			ev.BDDLive = mgr.NumNodes()
-			ev.BDDPeakNodes = mgr.PeakNodes
-			ev.BDDCacheHits = mgr.Hits - prevHits
-			ev.BDDCacheMisses = mgr.Misses - prevMisses
-			prevHits, prevMisses = mgr.Hits, mgr.Misses
-		}
-		tr.Event(ev)
-	}
-
-	t := time.Now()
-	r, err := cfsm.BuildReactive(m)
-	bddStage(r, StageReactive, time.Since(t))
+	g, err := buildSGraph(ctx, m, opt, tr)
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	t = time.Now()
-	err = sgraph.ApplyOrdering(r, opt.Ordering)
-	bddStage(r, StageSift, time.Since(t))
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	t = time.Now()
-	g, err := sgraph.FromChi(r)
-	bddStage(r, StageSGraph, time.Since(t))
-	if err != nil {
-		return nil, err
-	}
-	mgr := r.Space.M
-	tr.Event(Event{Kind: EvBDD, Module: m.Name,
-		PeakNodes: mgr.PeakNodes, SiftSwaps: mgr.Swaps, SiftPasses: mgr.SiftPasses,
-		SiftSwapsSkipped: mgr.SwapsSkipped, SiftLBPrunes: mgr.LBPrunes,
-		CacheHits: mgr.Hits, CacheMisses: mgr.Misses,
-		CacheResets: mgr.CacheResets, CacheEvictions: mgr.Evictions})
 
 	var reduceStats sgraph.ReduceStats
 	if opt.Reduce {
-		t = time.Now()
+		t := time.Now()
 		reduceStats = g.Reduce(opt.ReduceOpt)
 		tr.Event(Event{Kind: EvStage, Module: m.Name, Stage: StageReduce, Duration: time.Since(t)})
 		tr.Event(Event{Kind: EvReduce, Module: m.Name, Reduce: reduceStats})
@@ -244,7 +199,7 @@ func SynthesizeModuleContext(ctx context.Context, m *cfsm.CFSM, opt Options, tr 
 	specialized := false
 	if opt.Profile != nil {
 		if sp := opt.Profile.Module(m.Name).Spec(); sp != nil {
-			t = time.Now()
+			t := time.Now()
 			specStats, err = g.SpecializeChecked(sp)
 			tr.Event(Event{Kind: EvStage, Module: m.Name, Stage: StageSpecialize, Duration: time.Since(t)})
 			if err != nil {
@@ -259,7 +214,7 @@ func SynthesizeModuleContext(ctx context.Context, m *cfsm.CFSM, opt Options, tr 
 		return nil, err
 	}
 
-	t = time.Now()
+	t := time.Now()
 	prog, err := codegen.Assemble(g, codegen.NewSignalMap(m), opt.Codegen)
 	if err != nil {
 		tr.Event(Event{Kind: EvStage, Module: m.Name, Stage: StageCodegen, Duration: time.Since(t)})
@@ -303,6 +258,65 @@ func SynthesizeModuleContext(ctx context.Context, m *cfsm.CFSM, opt Options, tr 
 		SGraph:      g,
 		Program:     prog,
 	}, nil
+}
+
+// buildSGraph runs the BDD half of the flow — reactive-function
+// extraction, sifting and s-graph construction — emitting its EvStage
+// events and the module's EvBDD event. The s-graph holds no BDD
+// handle, so the module's BDD space is released on every return, for
+// the next module on this goroutine to reuse.
+func buildSGraph(ctx context.Context, m *cfsm.CFSM, opt Options, tr Trace) (*sgraph.SGraph, error) {
+	// bddStage emits an EvStage event carrying a snapshot of the
+	// module's BDD manager: live/peak node counts at the stage
+	// boundary plus the op-cache traffic the stage itself generated.
+	var prevHits, prevMisses int
+	bddStage := func(r *cfsm.Reactive, stage Stage, d time.Duration) {
+		ev := Event{Kind: EvStage, Module: m.Name, Stage: stage, Duration: d}
+		if r != nil {
+			mgr := r.Space.M
+			ev.BDDLive = mgr.NumNodes()
+			ev.BDDPeakNodes = mgr.PeakNodes
+			ev.BDDCacheHits = mgr.Hits - prevHits
+			ev.BDDCacheMisses = mgr.Misses - prevMisses
+			prevHits, prevMisses = mgr.Hits, mgr.Misses
+		}
+		tr.Event(ev)
+	}
+
+	t := time.Now()
+	r, err := cfsm.BuildReactive(m)
+	bddStage(r, StageReactive, time.Since(t))
+	if err != nil {
+		return nil, err
+	}
+	defer r.Space.Release()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	t = time.Now()
+	err = sgraph.ApplyOrdering(r, opt.Ordering)
+	bddStage(r, StageSift, time.Since(t))
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+
+	t = time.Now()
+	g, err := sgraph.FromChi(r)
+	bddStage(r, StageSGraph, time.Since(t))
+	if err != nil {
+		return nil, err
+	}
+	mgr := r.Space.M
+	tr.Event(Event{Kind: EvBDD, Module: m.Name,
+		PeakNodes: mgr.PeakNodes, SiftSwaps: mgr.Swaps, SiftPasses: mgr.SiftPasses,
+		SiftSwapsSkipped: mgr.SwapsSkipped, SiftLBPrunes: mgr.LBPrunes,
+		CacheHits: mgr.Hits, CacheMisses: mgr.Misses,
+		CacheResets: mgr.CacheResets, CacheEvictions: mgr.Evictions})
+	return g, nil
 }
 
 // Run synthesizes every machine of the network through the concurrent

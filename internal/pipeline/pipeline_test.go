@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -386,5 +387,40 @@ func TestArtifactReportZeroCodeSize(t *testing.T) {
 	}
 	if strings.Contains(rep, "Inf") || strings.Contains(rep, "NaN") {
 		t.Errorf("report leaks a division by zero:\n%s", rep)
+	}
+}
+
+// TestRunIndependentOfManagerHistory synthesizes one module list
+// forward and reversed on a single worker, so nearly every module runs
+// on a BDD manager that another module used and released (see
+// mvar.Space.Release). Each module's artifacts must not depend on
+// which modules ran before it.
+func TestRunIndependentOfManagerHistory(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	var fwd, rev []*cfsm.CFSM
+	for i := 0; i < 12; i++ {
+		fwd = append(fwd, randcfsm.New(r, randcfsm.Scaled(1+i%3)).C)
+	}
+	for i := len(fwd) - 1; i >= 0; i-- {
+		rev = append(rev, fwd[i])
+	}
+	opt := Options{Reduce: true}
+	a, err := RunModules(fwd, opt, Config{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunModules(rev, opt, Config{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range a {
+		y := b[len(b)-1-i]
+		if x.C != y.C || x.Listing != y.Listing {
+			t.Errorf("module %s: C or listing depends on synthesis order", x.Module)
+		}
+		if !reflect.DeepEqual(x.Estimate, y.Estimate) || x.Measured != y.Measured {
+			t.Errorf("module %s: estimate %+v / measured %+v forward, %+v / %+v reversed",
+				x.Module, x.Estimate, x.Measured, y.Estimate, y.Measured)
+		}
 	}
 }

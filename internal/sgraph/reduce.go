@@ -302,6 +302,7 @@ func (g *SGraph) eliminateDontCares(opt ReduceOptions, st *ReduceStats) int {
 		return 0
 	}
 	sp := mvar.NewSpace()
+	defer sp.Release()
 	m := sp.M
 	mvOf := make(map[*cfsm.Test]*mvar.MV, len(tests))
 	for _, t := range tests {

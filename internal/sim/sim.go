@@ -282,6 +282,7 @@ func BuildVMTask(m *cfsm.CFSM, opt Options) (*rtos.Task, int64, int64, error) {
 		return nil, 0, 0, err
 	}
 	g, err := sgraph.Build(r, opt.Ordering)
+	r.Space.Release()
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -330,7 +331,7 @@ func BuildVMTask(m *cfsm.CFSM, opt Options) (*rtos.Task, int64, int64, error) {
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		params, err := estimate.Calibrate(opt.Profile)
+		params, err := estimate.CalibrateCached(opt.Profile)
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -366,7 +367,7 @@ func RunContext(ctx context.Context, n *cfsm.Network, stimuli []Stimulus, until 
 // runSingle simulates a network on one RTOS instance.
 func runSingle(ctx context.Context, n *cfsm.Network, stimuli []Stimulus, until int64, opt Options) (*Result, error) {
 	res := &Result{}
-	params, err := estimate.Calibrate(opt.Profile)
+	params, err := estimate.CalibrateCached(opt.Profile)
 	if err != nil {
 		return nil, err
 	}
@@ -386,6 +387,7 @@ func runSingle(ctx context.Context, n *cfsm.Network, stimuli []Stimulus, until i
 				return nil, err
 			}
 			g, err := sgraph.Build(r, opt.Ordering)
+			r.Space.Release()
 			if err != nil {
 				return nil, err
 			}
@@ -414,6 +416,10 @@ func runSingle(ctx context.Context, n *cfsm.Network, stimuli []Stimulus, until i
 	sys.Probe = opt.Probe
 	sys.Ctx = ctx
 	sort.SliceStable(stimuli, func(i, j int) bool { return stimuli[i].Time < stimuli[j].Time })
+	// Every stimulus up to until becomes exactly one env trace event,
+	// so their count is a lower bound on the trace length.
+	k := sort.Search(len(stimuli), func(i int) bool { return stimuli[i].Time > until })
+	sys.Trace = make([]rtos.TraceEvent, 0, k)
 	for _, st := range stimuli {
 		if st.Time > until {
 			break
