@@ -1,5 +1,6 @@
 #!/bin/sh
-# CI gate: vet, build, the full test suite, the race detector (the
+# CI gate: vet, build, the full test suite, the benchmark module's
+# self-test, the race detector (the
 # pipeline runs per-CFSM synthesis on concurrent workers), the bdd
 # ownership checks enabled under the bdddebug build tag (on the kernel
 # and on every package that hands managers through mvar's space
@@ -22,6 +23,9 @@ set -eux
 go vet ./...
 go build ./...
 go test ./...
+# perfbench is a nested module that go test ./... skips; its self-test
+# drives the pipeline, codegen, vm and sim APIs it imports.
+(cd perfbench && go test .)
 go test -race ./...
 go test -tags bdddebug ./internal/bdd/ ./internal/mvar/ ./internal/sgraph/ ./internal/pipeline/ ./internal/sim/
 NETFUZZ_RUNS=800 go test -race -run TestFuzzCampaignRandom ./internal/netfuzz/

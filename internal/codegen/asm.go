@@ -2,6 +2,8 @@ package codegen
 
 import (
 	"fmt"
+	"strconv"
+	"sync"
 
 	"polis/internal/cfsm"
 	"polis/internal/expr"
@@ -72,7 +74,17 @@ type Builder struct {
 	valAddr   map[*cfsm.Signal]int   // input value copies
 	tmpDepth  int
 	maxTmp    int
+
+	// scratch is the pooled instruction buffer the routine is built
+	// in; Finish copies it into the program and returns it.
+	scratch *[]vm.Instr
 }
+
+// instrPool recycles instruction buffers across routines, so building
+// a program appends into storage a previous routine already grew
+// instead of regrowing the stream from empty every time. Buffers go
+// back cleared, holding no label or comment strings.
+var instrPool = sync.Pool{New: func() any { return new([]vm.Instr) }}
 
 // NewBuilder prepares a routine for the given CFSM: the entry label is
 // marked, state words are allocated and the copy-on-entry prologue is
@@ -95,7 +107,9 @@ func NewBuilder(c *cfsm.CFSM, sigs SignalMap, opts Options, plan *CopyPlan) (*Bu
 		stateAddr: make(map[*cfsm.StateVar]int),
 		curAddr:   make(map[*cfsm.StateVar]int),
 		valAddr:   make(map[*cfsm.Signal]int),
+		scratch:   instrPool.Get().(*[]vm.Instr),
 	}
+	a.p.Instrs = (*a.scratch)[:0]
 	for _, sv := range c.States {
 		a.stateAddr[sv] = a.p.Alloc("st_" + sv.Name)
 	}
@@ -109,11 +123,20 @@ func NewBuilder(c *cfsm.CFSM, sigs SignalMap, opts Options, plan *CopyPlan) (*Bu
 // Prog exposes the program under construction for direct emission.
 func (a *Builder) Prog() *vm.Program { return a.p }
 
-// Finish resolves labels and returns the completed program.
+// Finish resolves labels and returns the completed program. Its
+// instruction stream is an exact-length copy of the pooled build
+// buffer, which goes back to the pool; on a resolve error the buffer
+// stays with the program.
 func (a *Builder) Finish() (*vm.Program, error) {
 	if err := a.p.Resolve(); err != nil {
 		return nil, err
 	}
+	buf := a.p.Instrs
+	a.p.Instrs = append(make([]vm.Instr, 0, len(buf)), buf...)
+	clear(buf)
+	*a.scratch = buf[:0]
+	instrPool.Put(a.scratch)
+	a.scratch = nil
 	return a.p, nil
 }
 
@@ -297,7 +320,7 @@ func (a *Builder) CompileExpr(e expr.Expr) error {
 		if err := a.CompileExpr(x.L); err != nil {
 			return err
 		}
-		tmp := a.p.Alloc(fmt.Sprintf("tmp%d", a.tmpDepth))
+		tmp := a.p.Alloc(tmpName(a.tmpDepth))
 		a.tmpDepth++
 		if a.tmpDepth > a.maxTmp {
 			a.maxTmp = a.tmpDepth
@@ -315,38 +338,44 @@ func (a *Builder) CompileExpr(e expr.Expr) error {
 	return fmt.Errorf("codegen: unknown expression node %T", e)
 }
 
-func vlabel(v *sgraph.Vertex) string { return fmt.Sprintf("v%d", v.ID) }
+// tmpNames holds the spill temporaries of the usual expression
+// depths; deeper spills build their name on demand.
+var tmpNames = [...]string{"tmp0", "tmp1", "tmp2", "tmp3", "tmp4", "tmp5", "tmp6", "tmp7"}
+
+// tmpName returns the data-word name of the spill temporary at depth d.
+func tmpName(d int) string {
+	if d < len(tmpNames) {
+		return tmpNames[d]
+	}
+	return "tmp" + strconv.Itoa(d)
+}
+
+func vlabel(v *sgraph.Vertex) string { return "v" + strconv.Itoa(v.ID) }
 
 // body emits all reachable vertices in DFS order, falling through to
 // the next vertex where the layout allows and jumping otherwise.
 func (a *Builder) body(g *sgraph.SGraph) error {
 	order := g.Reachable() // DFS pre-order, Begin first
-	pos := make(map[*sgraph.Vertex]int, len(order))
-	for i, v := range order {
-		pos[v] = i
-	}
 	for i, v := range order {
 		if err := a.p.Mark(vlabel(v)); err != nil {
 			return err
 		}
-		next := func(w *sgraph.Vertex) {
-			if i+1 < len(order) && order[i+1] == w {
-				return // fall through
-			}
-			a.p.Emit(vm.Instr{Op: vm.JMP, Label: vlabel(w)})
+		var follow *sgraph.Vertex // vertex laid out right after v
+		if i+1 < len(order) {
+			follow = order[i+1]
 		}
 		switch v.Kind {
 		case sgraph.Begin:
-			next(v.Next)
+			a.next(follow, v.Next)
 		case sgraph.End:
 			a.p.Emit(vm.Instr{Op: vm.HALT})
 		case sgraph.Assign:
 			if err := a.EmitAction(v.Action); err != nil {
 				return err
 			}
-			next(v.Next)
+			a.next(follow, v.Next)
 		case sgraph.Test:
-			if err := a.emitTest(v, next); err != nil {
+			if err := a.emitTest(v, follow); err != nil {
 				return err
 			}
 		}
@@ -354,11 +383,19 @@ func (a *Builder) body(g *sgraph.SGraph) error {
 	return nil
 }
 
+// next continues control at w: by falling through when w is laid out
+// next (follow), by a jump otherwise.
+func (a *Builder) next(follow, w *sgraph.Vertex) {
+	if w != follow {
+		a.p.Emit(vm.Instr{Op: vm.JMP, Label: vlabel(w)})
+	}
+}
+
 // emitTest lowers a TEST vertex: presence tests through an RTOS trap,
 // predicates through expression code, selectors and collapsed tests
 // through a jump table or a compare-and-branch chain depending on
 // arity (the paper's switch/if threshold).
-func (a *Builder) emitTest(v *sgraph.Vertex, next func(w *sgraph.Vertex)) error {
+func (a *Builder) emitTest(v *sgraph.Vertex, follow *sgraph.Vertex) error {
 	if len(v.Tests) == 1 && v.Tests[0].Arity() == 2 {
 		t := v.Tests[0]
 		// The branch sense follows the hot order: the fall-through arm
@@ -383,7 +420,7 @@ func (a *Builder) emitTest(v *sgraph.Vertex, next func(w *sgraph.Vertex)) error 
 			a.p.Emit(vm.Instr{Op: vm.LD, Rd: RegVal, Addr: a.stateReadAddr(t.Sel), Comment: t.Name()})
 			a.p.Emit(vm.Instr{Op: brOp, Rs: RegVal, Label: vlabel(brTo)})
 		}
-		next(fall)
+		a.next(follow, fall)
 		return nil
 	}
 	// Multi-way: compute the combined outcome index into RegAcc
@@ -422,7 +459,7 @@ func (a *Builder) emitTest(v *sgraph.Vertex, next func(w *sgraph.Vertex)) error 
 			a.p.Emit(vm.Instr{Op: vm.BR, Cond: vm.CondEQ, Rs: RegAcc, Rt: RegAux,
 				Label: vlabel(v.Children[idx])})
 		}
-		next(v.Children[v.FallIdx()])
+		a.next(follow, v.Children[v.FallIdx()])
 		return nil
 	}
 	table := make([]string, v.Arity())

@@ -325,14 +325,40 @@ func TestRTOSHeader(t *testing.T) {
 }
 
 func TestReplaceIdent(t *testing.T) {
-	cases := []struct{ s, from, to, want string }{
-		{"a + ab + a", "a", "cur_a", "cur_a + ab + cur_a"},
-		{"(st * 2)", "st", "cur_st", "(cur_st * 2)"},
-		{"?a + a", "a", "cur_a", "?a + cur_a"},
+	cases := []struct{ s, from, prefix, want string }{
+		{"a + ab + a", "a", "cur_", "cur_a + ab + cur_a"},
+		{"(st * 2)", "st", "cur_", "(cur_st * 2)"},
+		{"?a + a", "a", "cur_", "?a + cur_a"},
+		{"ab + ba", "a", "st_", "ab + ba"},
 	}
 	for _, c := range cases {
-		if got := replaceIdent(c.s, c.from, c.to); got != c.want {
-			t.Errorf("replaceIdent(%q,%q,%q) = %q, want %q", c.s, c.from, c.to, got, c.want)
+		out, ok := replaceIdent([]byte("keep:"), []byte(c.s), c.from, c.prefix)
+		got := strings.TrimPrefix(string(out), "keep:")
+		if !ok {
+			got = c.s
+		}
+		if got != c.want || ok != (c.s != c.want) || !strings.HasPrefix(string(out), "keep:") {
+			t.Errorf("replaceIdent(%q,%q,%q) = %q (replaced %v), want %q", c.s, c.from, c.prefix, out, ok, c.want)
+		}
+	}
+}
+
+func TestReplaceValueRef(t *testing.T) {
+	cases := []struct{ s, name, want string }{
+		{"?a + a", "a", "val_a + a"},
+		{"?ab + ?a", "a", "val_ab + val_a"},
+		{"(?b * ?b)", "b", "(val_b * val_b)"},
+		{"a + b", "a", "a + b"},
+		{"x?", "a", "x?"},
+	}
+	for _, c := range cases {
+		out, ok := replaceValueRef(nil, []byte(c.s), c.name)
+		got := string(out)
+		if !ok {
+			got = c.s
+		}
+		if want := strings.ReplaceAll(c.s, "?"+c.name, "val_"+c.name); got != want || got != c.want {
+			t.Errorf("replaceValueRef(%q,%q) = %q, want %q", c.s, c.name, got, c.want)
 		}
 	}
 }

@@ -185,9 +185,15 @@ func EstimateSGraph(g *sgraph.SGraph, p *Params, opts Options) Result {
 
 	// --- per-vertex size, and timing DP over the DAG ---
 	order := g.Reachable()
-	idx := make(map[*sgraph.Vertex]int, len(order))
+	// Per-vertex tables are slices indexed by vertex ID, which is
+	// unique among reachable vertices.
+	idBound := 0
+	for _, v := range order {
+		idBound = max(idBound, v.ID+1)
+	}
+	idx := make([]int, idBound) // DFS position
 	for i, v := range order {
-		idx[v] = i
+		idx[v.ID] = i
 	}
 	var sz int64
 	// The emitter falls through to the DFS-next vertex; every other
@@ -198,20 +204,23 @@ func EstimateSGraph(g *sgraph.SGraph, p *Params, opts Options) Result {
 	fallsThrough := func(i int, w *sgraph.Vertex) bool {
 		return i+1 < len(order) && order[i+1] == w
 	}
-	type bounds struct{ min, max int64 }
-	memo := make(map[*sgraph.Vertex]bounds, len(order))
+	type bounds struct {
+		min, max int64
+		done     bool
+	}
+	memo := make([]bounds, idBound)
 	var visit func(v *sgraph.Vertex) bounds
 	visit = func(v *sgraph.Vertex) bounds {
-		if b, ok := memo[v]; ok {
+		if b := memo[v.ID]; b.done {
 			return b
 		}
-		i := idx[v]
+		i := idx[v.ID]
 		vc, vs := vertexCost(p, opts, v)
 		sz += vs
 		var b bounds
 		switch v.Kind {
 		case sgraph.End:
-			b = bounds{vc, vc}
+			b = bounds{min: vc, max: vc}
 		case sgraph.Test:
 			first := true
 			for k, w := range v.Children {
@@ -226,7 +235,7 @@ func EstimateSGraph(g *sgraph.SGraph, p *Params, opts Options) Result {
 				cMin := vc + e + cb.min
 				cMax := vc + e + cb.max
 				if first {
-					b = bounds{cMin, cMax}
+					b = bounds{min: cMin, max: cMax}
 					first = false
 					continue
 				}
@@ -244,9 +253,10 @@ func EstimateSGraph(g *sgraph.SGraph, p *Params, opts Options) Result {
 				sz += p.GotoSz
 			}
 			cb := visit(v.Next)
-			b = bounds{vc + e + cb.min, vc + e + cb.max}
+			b = bounds{min: vc + e + cb.min, max: vc + e + cb.max}
 		}
-		memo[v] = b
+		b.done = true
+		memo[v.ID] = b
 		return b
 	}
 	root := visit(g.Begin)
@@ -263,22 +273,22 @@ func EstimateSGraph(g *sgraph.SGraph, p *Params, opts Options) Result {
 	}
 
 	// --- RAM: persistent state + copies + value copies + spill temps ---
-	words := len(g.C.States) + copies + valueFetches + exprDepth(g)
+	words := len(g.C.States) + copies + valueFetches + exprDepth(order)
 	res.DataBytes = int64(words * p.IntBytes)
 	return res
 }
 
 // exprDepth returns the maximum binary-operator nesting over all
-// expressions in the graph: the number of spill temporaries codegen
-// allocates.
-func exprDepth(g *sgraph.SGraph) int {
+// expressions of the reachable vertices: the number of spill
+// temporaries codegen allocates.
+func exprDepth(order []*sgraph.Vertex) int {
 	max := 0
 	note := func(d int) {
 		if d > max {
 			max = d
 		}
 	}
-	for _, v := range g.Reachable() {
+	for _, v := range order {
 		switch v.Kind {
 		case sgraph.Test:
 			for _, t := range v.Tests {

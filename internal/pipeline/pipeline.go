@@ -68,7 +68,7 @@ type Options struct {
 
 func (o *Options) fill() {
 	if o.Target == nil {
-		o.Target = vm.HC11()
+		o.Target = vm.DefaultHC11()
 	}
 }
 

@@ -112,18 +112,16 @@ type WireOptions struct {
 // Target profiles are process-lifetime singletons so that every
 // request shares one calibration memo entry and one fingerprint
 // stream per target name (estimate.CalibrateCached and the pipeline
-// cache both key on the profile by identity/name).
-var (
-	profHC11 = vm.HC11()
-	profR3K  = vm.R3K()
-)
+// cache both key on the profile by identity/name). The HC11 one is the
+// default every other flow shares.
+var profR3K = vm.R3K()
 
 // Options resolves the wire options to pipeline options.
 func (w WireOptions) Options() (pipeline.Options, error) {
 	var o pipeline.Options
 	switch w.Target {
 	case "", "hc11":
-		o.Target = profHC11
+		o.Target = vm.DefaultHC11()
 	case "r3k":
 		o.Target = profR3K
 	default:

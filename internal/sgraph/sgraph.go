@@ -262,7 +262,8 @@ func (g *SGraph) EvaluateFired(snap *cfsm.DenseSnapshot) bool {
 
 // CheckWellFormed verifies Definition 1 invariants: a single BEGIN
 // source, a single END sink, TEST vertices with the right number of
-// children, acyclicity, and that all vertices are reachable.
+// children, acyclicity, that all vertices are reachable, and that
+// their IDs are unique.
 func (g *SGraph) CheckWellFormed() error {
 	if g.Begin == nil || g.Begin.Kind != Begin {
 		return fmt.Errorf("sgraph: missing BEGIN")
@@ -326,7 +327,19 @@ func (g *SGraph) CheckWellFormed() error {
 		}
 		return nil
 	}
-	color := make(map[*Vertex]int)
+	// Colors live in slices indexed by vertex ID. owner records which
+	// vertex holds each ID, so a second reachable vertex with the same
+	// ID — which would break Reachable's ID-indexed marks — is
+	// reported rather than mistaken for the first.
+	n := g.idBound()
+	color := make([]uint8, n)
+	owner := make([]*Vertex, n)
+	colorOf := func(v *Vertex) uint8 {
+		if v.ID >= 0 && v.ID < len(owner) && owner[v.ID] == v {
+			return color[v.ID]
+		}
+		return white
+	}
 	type frame struct {
 		v    *Vertex
 		next int
@@ -334,18 +347,21 @@ func (g *SGraph) CheckWellFormed() error {
 	if err := check(g.Begin); err != nil {
 		return err
 	}
-	color[g.Begin] = grey
+	if g.Begin.ID < 0 {
+		return fmt.Errorf("sgraph: vertex with negative ID %d", g.Begin.ID)
+	}
+	owner[g.Begin.ID], color[g.Begin.ID] = g.Begin, grey
 	stack := []frame{{g.Begin, 0}}
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		c := childAt(f.v, f.next)
 		if c == nil {
-			color[f.v] = black
+			color[f.v.ID] = black
 			stack = stack[:len(stack)-1]
 			continue
 		}
 		f.next++
-		switch color[c] {
+		switch colorOf(c) {
 		case grey:
 			return fmt.Errorf("sgraph: cycle through vertex %d", c.ID)
 		case black:
@@ -354,18 +370,40 @@ func (g *SGraph) CheckWellFormed() error {
 		if err := check(c); err != nil {
 			return err
 		}
-		color[c] = grey
+		if c.ID < 0 {
+			return fmt.Errorf("sgraph: vertex with negative ID %d", c.ID)
+		}
+		if c.ID >= len(owner) {
+			// Not listed in g.Vertices; it is reported below.
+			color = append(color, make([]uint8, c.ID+1-len(color))...)
+			owner = append(owner, make([]*Vertex, c.ID+1-len(owner))...)
+		}
+		if w := owner[c.ID]; w != nil {
+			return fmt.Errorf("sgraph: vertices share ID %d (%s and %s)", c.ID, w.Kind, c.Kind)
+		}
+		owner[c.ID], color[c.ID] = c, grey
 		stack = append(stack, frame{c, 0})
 	}
-	if color[g.End] != black {
+	if colorOf(g.End) != black {
 		return fmt.Errorf("sgraph: END not reachable from BEGIN")
 	}
 	for _, v := range g.Vertices {
-		if color[v] != black {
+		if colorOf(v) != black {
 			return fmt.Errorf("sgraph: vertex %d unreachable", v.ID)
 		}
 	}
 	return nil
+}
+
+// idBound returns one more than the largest vertex ID of the graph.
+func (g *SGraph) idBound() int {
+	n := g.Begin.ID + 1
+	for _, v := range g.Vertices {
+		if v.ID >= n {
+			n = v.ID + 1
+		}
+	}
+	return n
 }
 
 // Reachable returns the vertices reachable from BEGIN in a stable
@@ -379,26 +417,36 @@ func (g *SGraph) CheckWellFormed() error {
 // its hot fall-through subgraph out first and Hot=nil graphs keep the
 // historical layout exactly.
 func (g *SGraph) Reachable() []*Vertex {
-	var order []*Vertex
-	seen := make(map[*Vertex]bool)
-	stack := []*Vertex{g.Begin}
+	// Vertex IDs are unique and come from newVertex (Clone keeps
+	// them), so seen-marks live in a slice indexed by ID. After Reduce
+	// compacts g.Vertices an ID can exceed its length, hence the bound
+	// from the largest ID.
+	seen := make([]bool, g.idBound())
+	isSeen := func(v *Vertex) bool { return v.ID < len(seen) && seen[v.ID] }
+	order := make([]*Vertex, 0, len(g.Vertices))
+	stack := make([]*Vertex, 1, len(g.Vertices)+1)
+	stack[0] = g.Begin
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[v] {
+		if isSeen(v) {
 			continue
 		}
-		seen[v] = true
+		if v.ID >= len(seen) {
+			// Not listed in g.Vertices: grow rather than fail.
+			seen = append(seen, make([]bool, v.ID+1-len(seen))...)
+		}
+		seen[v.ID] = true
 		order = append(order, v)
 		switch v.Kind {
 		case Test:
 			for p := len(v.Children) - 1; p >= 0; p-- {
-				if c := v.Children[v.OutcomeAt(p)]; !seen[c] {
+				if c := v.Children[v.OutcomeAt(p)]; !isSeen(c) {
 					stack = append(stack, c)
 				}
 			}
 		case Begin, Assign:
-			if !seen[v.Next] {
+			if !isSeen(v.Next) {
 				stack = append(stack, v.Next)
 			}
 		}

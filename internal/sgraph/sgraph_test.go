@@ -2,6 +2,7 @@ package sgraph
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"polis/internal/cfsm"
@@ -385,5 +386,39 @@ func TestParentsCounts(t *testing.T) {
 	}
 	if st := g.ComputeStats(); total != st.Edges {
 		t.Errorf("in-degree sum %d != edges %d", total, st.Edges)
+	}
+}
+
+// TestCheckWellFormedVertexIDs checks the ID invariant Reachable's
+// ID-indexed marks rely on: a graph whose vertex IDs are spread far
+// above the length of its vertex list (as after a reduction removes
+// vertices) still checks and traverses in the same order, while two
+// reachable vertices sharing an ID are reported.
+func TestCheckWellFormedVertexIDs(t *testing.T) {
+	c := counter()
+	g := buildGraph(t, c, OrderSiftAfterSupport)
+	want := g.Reachable()
+	sparse := g.Clone()
+	for _, v := range sparse.Vertices {
+		v.ID = 3*v.ID + 5
+	}
+	if err := sparse.CheckWellFormed(); err != nil {
+		t.Fatal(err)
+	}
+	got := sparse.Reachable()
+	if len(got) != len(want) {
+		t.Fatalf("Reachable found %d vertices, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].ID != 3*want[i].ID+5 {
+			t.Fatalf("Reachable order differs at %d: ID %d, want %d", i, got[i].ID, 3*want[i].ID+5)
+		}
+	}
+	checkEquiv(t, c, sparse, 31)
+
+	dup := g.Clone()
+	dup.End.ID = dup.Begin.Next.ID
+	if err := dup.CheckWellFormed(); err == nil || !strings.Contains(err.Error(), "share ID") {
+		t.Errorf("duplicate vertex ID: error %v, want a shared-ID report", err)
 	}
 }

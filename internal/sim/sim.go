@@ -356,7 +356,7 @@ func Run(n *cfsm.Network, stimuli []Stimulus, until int64, opt Options) (*Result
 // long simulation stops promptly with the context's error.
 func RunContext(ctx context.Context, n *cfsm.Network, stimuli []Stimulus, until int64, opt Options) (*Result, error) {
 	if opt.Profile == nil {
-		opt.Profile = vm.HC11()
+		opt.Profile = vm.DefaultHC11()
 	}
 	if opt.Partition {
 		return runPartitioned(ctx, n, stimuli, until, opt)

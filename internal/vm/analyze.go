@@ -1,6 +1,9 @@
 package vm
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // PathCycles is the result of static object-code timing analysis: the
 // exact minimum and maximum cycles of any execution path. This is the
@@ -24,26 +27,26 @@ func AnalyzeCycles(prof *Profile, prog *Program, label string) (PathCycles, erro
 		}
 		entry = idx
 	}
-	type memoEnt struct {
-		min, max int64
-		done     bool
-	}
-	memo := make(map[int]*memoEnt)
-	onStack := make(map[int]bool)
+	// The memo is indexed by pc and pooled across calls.
+	buf := memoPool.Get().(*[]memoEnt)
+	memo := append((*buf)[:0], make([]memoEnt, len(prog.Instrs))...)
+	defer func() {
+		*buf = memo[:0]
+		memoPool.Put(buf)
+	}()
 
 	var visit func(pc int) (int64, int64, error)
 	visit = func(pc int) (int64, int64, error) {
 		if pc < 0 || pc >= len(prog.Instrs) {
 			return 0, 0, fmt.Errorf("vm: pc %d out of range", pc)
 		}
-		if e, ok := memo[pc]; ok && e.done {
-			return e.min, e.max, nil
-		}
-		if onStack[pc] {
+		switch memo[pc].state {
+		case pcDone:
+			return memo[pc].min, memo[pc].max, nil
+		case pcOnStack:
 			return 0, 0, fmt.Errorf("vm: cycle in control flow at instruction %d", pc)
 		}
-		onStack[pc] = true
-		defer delete(onStack, pc)
+		memo[pc].state = pcOnStack
 
 		in := &prog.Instrs[pc]
 		base := int64(prof.Cyc[in.Op])
@@ -103,7 +106,7 @@ func AnalyzeCycles(prof *Profile, prog *Program, label string) (PathCycles, erro
 			}
 			mn, mx = base+m1, base+m2
 		}
-		memo[pc] = &memoEnt{min: mn, max: mx, done: true}
+		memo[pc] = memoEnt{min: mn, max: mx, state: pcDone}
 		return mn, mx, nil
 	}
 	mn, mx, err := visit(entry)
@@ -112,6 +115,21 @@ func AnalyzeCycles(prof *Profile, prog *Program, label string) (PathCycles, erro
 	}
 	return PathCycles{Min: mn, Max: mx}, nil
 }
+
+// memoEnt is AnalyzeCycles' per-instruction memo.
+type memoEnt struct {
+	min, max int64
+	state    uint8
+}
+
+// Visit states of one instruction during AnalyzeCycles.
+const (
+	pcUnseen  = iota
+	pcOnStack // on the current DFS path: reaching it again is a cycle
+	pcDone    // bounds memoized
+)
+
+var memoPool = sync.Pool{New: func() any { return new([]memoEnt) }}
 
 func min64(a, b int64) int64 {
 	if a < b {

@@ -13,8 +13,12 @@
 package vm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
 
 	"polis/internal/expr"
 )
@@ -189,56 +193,124 @@ func (p *Program) Resolve() error {
 	return nil
 }
 
-// Listing renders a human-readable assembly listing.
+// listScratch is the reusable working storage of Listing: the text
+// buffer the listing is rendered into and the label table sorted by
+// position.
+type listScratch struct {
+	buf    []byte
+	labels []listLabel
+}
+
+type listLabel struct {
+	idx  int
+	name string
+}
+
+var listPool = sync.Pool{New: func() any { return new(listScratch) }}
+
+// Listing renders a human-readable assembly listing. The text is
+// rendered into pooled scratch storage and copied out once, so a
+// listing costs one allocation of exactly its own length.
 func (p *Program) Listing() string {
-	byIndex := make(map[int][]string)
+	sc := listPool.Get().(*listScratch)
+	labels := sc.labels[:0]
 	for l, i := range p.Labels {
-		byIndex[i] = append(byIndex[i], l)
+		labels = append(labels, listLabel{i, l})
 	}
-	for _, ls := range byIndex {
-		sort.Strings(ls)
-	}
-	var b []byte
-	appendf := func(format string, args ...interface{}) {
-		b = append(b, fmt.Sprintf(format, args...)...)
-	}
-	appendf("; routine %s (%d words of data)\n", p.Name, p.Words)
-	for i, in := range p.Instrs {
-		for _, l := range byIndex[i] {
-			appendf("%s:\n", l)
+	slices.SortFunc(labels, func(x, y listLabel) int {
+		if x.idx != y.idx {
+			return cmp.Compare(x.idx, y.idx)
 		}
-		appendf("  %-5s", in.Op)
-		switch in.Op {
-		case LDI:
-			appendf(" r%d, #%d", in.Rd, in.Imm)
-		case LD:
-			appendf(" r%d, [%d]", in.Rd, in.Addr)
-		case ST:
-			appendf(" [%d], r%d", in.Addr, in.Rs)
-		case MOV:
-			appendf(" r%d, r%d", in.Rd, in.Rs)
-		case ALU:
-			appendf("."+in.AOp.Name()+" r%d, r%d", in.Rd, in.Rs)
-		case NEG, NOT:
-			appendf(" r%d", in.Rd)
-		case BR:
-			appendf(".%s r%d, r%d, %s", in.Cond, in.Rs, in.Rt, in.Label)
-		case BRZ, BRNZ:
-			appendf(" r%d, %s", in.Rs, in.Label)
-		case JMP:
-			appendf(" %s", in.Label)
-		case JTAB:
-			appendf(" r%d, %v", in.Rs, in.Table)
-		case SVC:
-			appendf(" #%d, sig=%d, r%d", in.Num, in.Imm, in.Rs)
+		return strings.Compare(x.name, y.name)
+	})
+	b := append(sc.buf[:0], "; routine "...)
+	b = append(b, p.Name...)
+	b = append(b, " ("...)
+	b = strconv.AppendInt(b, int64(p.Words), 10)
+	b = append(b, " words of data)\n"...)
+	k := 0
+	// appendLabels writes the labels defined at instruction index i;
+	// labels at indices outside the stream are never printed.
+	appendLabels := func(i int) {
+		for k < len(labels) && labels[k].idx < i {
+			k++
 		}
-		if in.Comment != "" {
-			appendf("  ; %s", in.Comment)
+		for ; k < len(labels) && labels[k].idx == i; k++ {
+			b = append(b, labels[k].name...)
+			b = append(b, ":\n"...)
 		}
-		b = append(b, '\n')
 	}
-	for _, l := range byIndex[len(p.Instrs)] {
-		appendf("%s:\n", l)
+	for i := range p.Instrs {
+		appendLabels(i)
+		b = appendInstr(b, &p.Instrs[i])
 	}
-	return string(b)
+	appendLabels(len(p.Instrs))
+	s := string(b)
+	clear(labels)
+	sc.buf, sc.labels = b[:0], labels[:0]
+	listPool.Put(sc)
+	return s
+}
+
+// appendInstr appends one listing line: the opcode padded to five
+// columns, its operands and the optional comment.
+func appendInstr(b []byte, in *Instr) []byte {
+	b = append(b, "  "...)
+	op := in.Op.String()
+	b = append(b, op...)
+	for n := len(op); n < 5; n++ {
+		b = append(b, ' ')
+	}
+	reg := func(b []byte, r int) []byte {
+		return strconv.AppendInt(append(b, 'r'), int64(r), 10)
+	}
+	switch in.Op {
+	case LDI:
+		b = reg(append(b, ' '), in.Rd)
+		b = strconv.AppendInt(append(b, ", #"...), in.Imm, 10)
+	case LD:
+		b = reg(append(b, ' '), in.Rd)
+		b = strconv.AppendInt(append(b, ", ["...), int64(in.Addr), 10)
+		b = append(b, ']')
+	case ST:
+		b = strconv.AppendInt(append(b, " ["...), int64(in.Addr), 10)
+		b = reg(append(b, "], "...), in.Rs)
+	case MOV:
+		b = reg(append(b, ' '), in.Rd)
+		b = reg(append(b, ", "...), in.Rs)
+	case ALU:
+		b = append(append(b, '.'), in.AOp.Name()...)
+		b = reg(append(b, ' '), in.Rd)
+		b = reg(append(b, ", "...), in.Rs)
+	case NEG, NOT:
+		b = reg(append(b, ' '), in.Rd)
+	case BR:
+		b = append(append(b, '.'), in.Cond.String()...)
+		b = reg(append(b, ' '), in.Rs)
+		b = reg(append(b, ", "...), in.Rt)
+		b = append(append(b, ", "...), in.Label...)
+	case BRZ, BRNZ:
+		b = reg(append(b, ' '), in.Rs)
+		b = append(append(b, ", "...), in.Label...)
+	case JMP:
+		b = append(append(b, ' '), in.Label...)
+	case JTAB:
+		b = reg(append(b, ' '), in.Rs)
+		b = append(b, ", ["...)
+		for j, l := range in.Table {
+			if j > 0 {
+				b = append(b, ' ')
+			}
+			b = append(b, l...)
+		}
+		b = append(b, ']')
+	case SVC:
+		b = strconv.AppendInt(append(b, " #"...), int64(in.Num), 10)
+		b = strconv.AppendInt(append(b, ", sig="...), in.Imm, 10)
+		b = reg(append(b, ", "...), in.Rs)
+	}
+	if in.Comment != "" {
+		b = append(append(b, "  ; "...), in.Comment...)
+	}
+	return append(b, '\n')
 }

@@ -91,6 +91,17 @@ func HC11() *Profile {
 	return p
 }
 
+// defaultHC11 is the profile DefaultHC11 shares.
+var defaultHC11 = HC11()
+
+// DefaultHC11 returns the process-wide HC11 profile that every flow
+// leaving its target unset shares, so that calibration memos keyed by
+// the profile pointer (estimate.CalibrateCached) hold one entry for it
+// however many modules or runs resolve the default. The profile is
+// read-only: a caller that needs to change cost tables must start
+// from HC11() instead.
+func DefaultHC11() *Profile { return defaultHC11 }
+
 // R3K returns the 32-bit RISC profile: uniform 4-byte instructions,
 // single-cycle ALU, hardware multiply/divide, no short branches.
 // Sized like a 25 MHz R3000.
