@@ -16,8 +16,9 @@
 # second pass, /stats, SIGTERM drain), a multi-process sharded
 # synthesis smoke (two shard-worker processes sharing one disk cache
 # as the shuffle layer, warm second pass, output byte-identical to the
-# unsharded run), and a single-iteration benchmark smoke so the
-# harness can't bit-rot.
+# unsharded run), a smoke run of the sgestimate, cfsmsim and rtosgen
+# tools, and a single-iteration benchmark smoke so the harness can't
+# bit-rot.
 set -eux
 
 go vet ./...
@@ -113,6 +114,30 @@ grep -q 'shard: 2 shard(s) (process), 3 module(s), miss 3 | mem 0 | disk 0 | ded
 grep -q 'shard: 2 shard(s) (process), 3 module(s), miss 0 | mem 0 | disk 3 | dedup 0' "$tmp/warm"
 "$tmp/polisc" -shards 2 -shard-procs -cache "$tmp/cache" "$tmp/net.strl" >"$tmp/sharded"
 diff "$tmp/plain" "$tmp/sharded"
+trap - EXIT
+rm -rf "$tmp"
+
+# CLI smoke for the tools without tests of their own: sgestimate on
+# both designs and targets, cfsmsim on the shock absorber in both
+# timing modes with a short horizon, and rtosgen. Each must exit 0
+# and print its header line.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+for c in sgestimate cfsmsim rtosgen; do
+    go build -o "$tmp/$c" "./cmd/$c"
+done
+for t in hc11 r3k; do
+    "$tmp/sgestimate" -design dashboard -target "$t" >"$tmp/out"
+    grep -q "^Table I -- cost/performance estimation, target $t\$" "$tmp/out"
+    "$tmp/sgestimate" -design shock -target "$t" >"$tmp/out"
+    grep -q "^Cost/performance estimation, shock absorber, target $t\$" "$tmp/out"
+done
+for m in vm behavioral; do
+    "$tmp/cfsmsim" -design shock -mode "$m" -until 200000 >"$tmp/out"
+    grep -q '^simulated 200000 cycles ' "$tmp/out"
+done
+"$tmp/rtosgen" >"$tmp/out"
+grep -q '^/\* size model on hc11: ' "$tmp/out"
 trap - EXIT
 rm -rf "$tmp"
 

@@ -48,14 +48,9 @@ func main() {
 	specialize := flag.Bool("specialize", false, "reorder TEST outcomes hot-path-first using -profile")
 	flag.Parse()
 
-	var prof *vm.Profile
-	switch *target {
-	case "hc11":
-		prof = vm.HC11()
-	case "r3k":
-		prof = vm.R3K()
-	default:
-		fatal(fmt.Errorf("unknown target %q", *target))
+	prof, err := vm.ProfileByName(*target)
+	if err != nil {
+		fatal(err)
 	}
 	opts := sim.Options{
 		Cfg:       rtos.DefaultConfig(),

@@ -133,24 +133,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		src = string(data)
 	}
 
-	opt := polis.Options{}
-	switch *target {
-	case "hc11":
-		opt.Target = vm.HC11()
-	case "r3k":
-		opt.Target = vm.R3K()
-	default:
-		return fail(stderr, fmt.Errorf("unknown target %q", *target))
+	var opt polis.Options
+	var err error
+	if opt.Target, err = vm.ProfileByName(*target); err != nil {
+		return fail(stderr, err)
 	}
-	switch *order {
-	case "default":
-		opt.Ordering = sgraph.OrderSiftAfterSupport
-	case "naive":
-		opt.Ordering = sgraph.OrderNaive
-	case "inputs-first":
-		opt.Ordering = sgraph.OrderSiftInputsFirst
-	default:
-		return fail(stderr, fmt.Errorf("unknown ordering %q", *order))
+	if opt.Ordering, err = sgraph.ParseOrdering(*order); err != nil {
+		return fail(stderr, err)
 	}
 	opt.Codegen.OptimizeCopies = *optCopies
 	opt.Reduce = *reduce
@@ -194,7 +183,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sopt := shard.Options{
 			Shards:   *shards,
 			Strategy: strat,
-			Pipeline: opt.Pipeline(),
+			Pipeline: opt,
 			CacheDir: *cacheDir,
 		}
 		if *shardProcs {
@@ -238,7 +227,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var sources []namedSource
 	var totalCode int64
 	for _, a := range arts {
-		fmt.Fprint(stdout, a.Report(opt.Target))
+		fmt.Fprint(stdout, a.Report())
 		totalCode += int64(a.CodeSize)
 		sources = append(sources, namedSource{a.Module + ".c", a.C})
 		if *emitC {

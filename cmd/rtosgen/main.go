@@ -31,14 +31,9 @@ func main() {
 	target := flag.String("target", "hc11", "cost profile: hc11 or r3k")
 	flag.Parse()
 
-	var prof *vm.Profile
-	switch *target {
-	case "hc11":
-		prof = vm.HC11()
-	case "r3k":
-		prof = vm.R3K()
-	default:
-		fatal(fmt.Errorf("unknown target %q", *target))
+	prof, err := vm.ProfileByName(*target)
+	if err != nil {
+		fatal(err)
 	}
 
 	var net *cfsm.Network

@@ -13,12 +13,9 @@ import (
 	"fmt"
 	"os"
 
-	"polis/internal/cfsm"
-	"polis/internal/codegen"
 	"polis/internal/designs"
-	"polis/internal/estimate"
 	"polis/internal/experiments"
-	"polis/internal/sgraph"
+	"polis/internal/pipeline"
 	"polis/internal/vm"
 )
 
@@ -27,14 +24,9 @@ func main() {
 	design := flag.String("design", "dashboard", "benchmark design: dashboard or shock")
 	flag.Parse()
 
-	var prof *vm.Profile
-	switch *target {
-	case "hc11":
-		prof = vm.HC11()
-	case "r3k":
-		prof = vm.R3K()
-	default:
-		fatal(fmt.Errorf("unknown target %q", *target))
+	prof, err := vm.ProfileByName(*target)
+	if err != nil {
+		fatal(err)
 	}
 
 	switch *design {
@@ -46,32 +38,15 @@ func main() {
 		fmt.Print(experiments.FormatTable1(prof, rows))
 	case "shock":
 		s := designs.NewShockAbsorber()
-		params, err := estimate.Calibrate(prof)
-		if err != nil {
-			fatal(err)
-		}
 		fmt.Printf("Cost/performance estimation, shock absorber, target %s\n", prof.Name)
 		fmt.Printf("%-16s %9s %9s %9s %9s\n", "CFSM", "est size", "act size", "est max", "act max")
 		for _, m := range s.Modules() {
-			r, err := cfsm.BuildReactive(m)
-			if err != nil {
-				fatal(err)
-			}
-			g, err := sgraph.Build(r, sgraph.OrderSiftAfterSupport)
-			if err != nil {
-				fatal(err)
-			}
-			p, err := codegen.Assemble(g, codegen.NewSignalMap(m), codegen.Options{})
-			if err != nil {
-				fatal(err)
-			}
-			est := estimate.EstimateSGraph(g, params, estimate.Options{})
-			act, err := vm.AnalyzeCycles(prof, p, codegen.EntryLabel(m))
+			a, err := pipeline.SynthesizeModule(m, pipeline.Options{Target: prof}, nil)
 			if err != nil {
 				fatal(err)
 			}
 			fmt.Printf("%-16s %9d %9d %9d %9d\n",
-				m.Name, est.CodeBytes, prof.CodeSize(p), est.MaxCycles, act.Max)
+				m.Name, a.Estimate.CodeBytes, a.CodeSize, a.Estimate.MaxCycles, a.Measured.Max)
 		}
 	default:
 		fatal(fmt.Errorf("unknown design %q", *design))

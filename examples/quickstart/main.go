@@ -35,7 +35,7 @@ func main() {
 	}
 
 	fmt.Println("== synthesis report ==")
-	fmt.Print(art.Report(nil))
+	fmt.Print(art.Report())
 
 	fmt.Println("\n== s-graph (Fig. 1) ==")
 	fmt.Print(art.SGraph.Dot())

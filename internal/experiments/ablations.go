@@ -7,7 +7,7 @@ import (
 	"polis/internal/cfsm"
 	"polis/internal/codegen"
 	"polis/internal/designs"
-	"polis/internal/estimate"
+	"polis/internal/pipeline"
 	"polis/internal/rtos"
 	"polis/internal/sgraph"
 	"polis/internal/sim"
@@ -30,30 +30,18 @@ func AblationCollapse(prof *vm.Profile) ([]CollapseRow, error) {
 	d := designs.NewDashboard()
 	var rows []CollapseRow
 	for _, m := range d.Modules() {
-		g, p, err := synthesize(m, sgraph.OrderSiftAfterSupport, codegen.Options{})
-		if err != nil {
-			return nil, err
-		}
-		act, err := vm.AnalyzeCycles(prof, p, codegen.EntryLabel(m))
+		a, err := pipeline.SynthesizeModule(m, pipeline.Options{Target: prof}, nil)
 		if err != nil {
 			return nil, err
 		}
 		row := CollapseRow{
 			Module:      m.Name,
-			PlainBytes:  int64(prof.CodeSize(p)),
-			PlainMaxCyc: act.Max,
+			PlainBytes:  int64(a.CodeSize),
+			PlainMaxCyc: a.Measured.Max,
 		}
-		// Rebuild and collapse.
-		r, err := cfsm.BuildReactive(m)
-		if err != nil {
-			return nil, err
-		}
-		g2, err := sgraph.Build(r, sgraph.OrderSiftAfterSupport)
-		if err != nil {
-			return nil, err
-		}
-		row.NodesMerged = g2.CollapseTests(32)
-		p2, err := codegen.Assemble(g2, codegen.NewSignalMap(m), codegen.Options{})
+		// Collapse the artifact's own graph and re-assemble it.
+		row.NodesMerged = a.SGraph.CollapseTests(32)
+		p2, err := codegen.Assemble(a.SGraph, codegen.NewSignalMap(m), codegen.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -64,7 +52,6 @@ func AblationCollapse(prof *vm.Profile) ([]CollapseRow, error) {
 		row.CollapsedB = int64(prof.CodeSize(p2))
 		row.CollapsedCyc = act2.Max
 		rows = append(rows, row)
-		_ = g
 	}
 	return rows, nil
 }
@@ -165,23 +152,18 @@ func AblationCopies(prof *vm.Profile) ([]CopyRow, error) {
 	for _, m := range s.Modules() {
 		row := CopyRow{Module: m.Name}
 		for _, opt := range []bool{false, true} {
-			_, p, err := synthesize(m, sgraph.OrderSiftAfterSupport,
-				codegen.Options{OptimizeCopies: opt})
+			a, err := pipeline.SynthesizeModule(m, pipeline.Options{
+				Target:  prof,
+				Codegen: codegen.Options{OptimizeCopies: opt},
+			}, nil)
 			if err != nil {
 				return nil, err
 			}
-			act, err := vm.AnalyzeCycles(prof, p, codegen.EntryLabel(m))
-			if err != nil {
-				return nil, err
-			}
+			rom, ram := int64(a.CodeSize), int64(prof.DataSize(a.Program))
 			if opt {
-				row.OptROM = int64(prof.CodeSize(p))
-				row.OptRAM = int64(prof.DataSize(p))
-				row.OptWCET = act.Max
+				row.OptROM, row.OptRAM, row.OptWCET = rom, ram, a.Measured.Max
 			} else {
-				row.FullROM = int64(prof.CodeSize(p))
-				row.FullRAM = int64(prof.DataSize(p))
-				row.FullWCET = act.Max
+				row.FullROM, row.FullRAM, row.FullWCET = rom, ram, a.Measured.Max
 			}
 		}
 		rows = append(rows, row)
@@ -213,24 +195,20 @@ type FalsePathRow struct {
 // pruning (Section III-C) on the estimator's worst-case bound.
 func AblationFalsePaths(prof *vm.Profile) ([]FalsePathRow, error) {
 	d := designs.NewDashboard()
-	params, err := estimate.Calibrate(prof)
-	if err != nil {
-		return nil, err
-	}
 	var rows []FalsePathRow
 	for _, m := range d.Modules() {
-		r, err := cfsm.BuildReactive(m)
+		plain, err := pipeline.SynthesizeModule(m, pipeline.Options{Target: prof}, nil)
 		if err != nil {
 			return nil, err
 		}
-		g, err := sgraph.Build(r, sgraph.OrderSiftAfterSupport)
+		pruned, err := pipeline.SynthesizeModule(m, pipeline.Options{Target: prof, UseFalsePaths: true}, nil)
 		if err != nil {
 			return nil, err
 		}
-		plain := estimate.EstimateSGraph(g, params, estimate.Options{})
-		pruned := estimate.EstimateSGraph(g, params, estimate.Options{UseFalsePaths: true})
 		rows = append(rows, FalsePathRow{
-			Module: m.Name, PlainMax: plain.MaxCycles, PrunedMax: pruned.MaxCycles,
+			Module:    m.Name,
+			PlainMax:  plain.Estimate.MaxCycles,
+			PrunedMax: pruned.Estimate.MaxCycles,
 		})
 	}
 	return rows, nil
@@ -273,57 +251,33 @@ type ReduceRow struct {
 // at50/at150 predicates), where don't-care elimination removes TESTs
 // the BDD construction cannot see are unreachable.
 func AblationReduce(prof *vm.Profile) ([]ReduceRow, error) {
-	params, err := estimate.Calibrate(prof)
-	if err != nil {
-		return nil, err
-	}
 	var modules []*cfsm.CFSM
 	modules = append(modules, designs.NewDashboard().Modules()...)
 	modules = append(modules, designs.NewShockAbsorber().Modules()...)
 	var rows []ReduceRow
 	for _, m := range modules {
-		g, p, err := synthesize(m, sgraph.OrderSiftAfterSupport, codegen.Options{})
+		plain, err := pipeline.SynthesizeModule(m, pipeline.Options{Target: prof}, nil)
 		if err != nil {
 			return nil, err
 		}
-		act, err := vm.AnalyzeCycles(prof, p, codegen.EntryLabel(m))
+		red, err := pipeline.SynthesizeModule(m, pipeline.Options{Target: prof, Reduce: true}, nil)
 		if err != nil {
 			return nil, err
 		}
-		plainEst := estimate.EstimateSGraph(g, params, estimate.Options{})
-		row := ReduceRow{
-			Module:      m.Name,
-			PlainVerts:  g.ComputeStats().Vertices,
-			PlainBytes:  int64(prof.CodeSize(p)),
-			PlainMaxCyc: act.Max,
-			EstPlainROM: plainEst.CodeBytes,
-			EstPlainMax: plainEst.MaxCycles,
-		}
-		// Rebuild and reduce.
-		r, err := cfsm.BuildReactive(m)
-		if err != nil {
-			return nil, err
-		}
-		g2, err := sgraph.Build(r, sgraph.OrderSiftAfterSupport)
-		if err != nil {
-			return nil, err
-		}
-		row.Stats = g2.Reduce(sgraph.ReduceOptions{})
-		p2, err := codegen.Assemble(g2, codegen.NewSignalMap(m), codegen.Options{})
-		if err != nil {
-			return nil, err
-		}
-		act2, err := vm.AnalyzeCycles(prof, p2, codegen.EntryLabel(m))
-		if err != nil {
-			return nil, err
-		}
-		redEst := estimate.EstimateSGraph(g2, params, estimate.Options{})
-		row.ReducedVerts = g2.ComputeStats().Vertices
-		row.ReducedBytes = int64(prof.CodeSize(p2))
-		row.ReducedCyc = act2.Max
-		row.EstReducedR = redEst.CodeBytes
-		row.EstReducedM = redEst.MaxCycles
-		rows = append(rows, row)
+		rows = append(rows, ReduceRow{
+			Module:       m.Name,
+			PlainVerts:   plain.Stats.Vertices,
+			ReducedVerts: red.Stats.Vertices,
+			PlainBytes:   int64(plain.CodeSize),
+			ReducedBytes: int64(red.CodeSize),
+			PlainMaxCyc:  plain.Measured.Max,
+			ReducedCyc:   red.Measured.Max,
+			EstPlainROM:  plain.Estimate.CodeBytes,
+			EstReducedR:  red.Estimate.CodeBytes,
+			EstPlainMax:  plain.Estimate.MaxCycles,
+			EstReducedM:  red.Estimate.MaxCycles,
+			Stats:        red.Reduce,
+		})
 	}
 	return rows, nil
 }

@@ -18,31 +18,13 @@ import (
 	"polis/internal/cfsm"
 	"polis/internal/codegen"
 	"polis/internal/designs"
-	"polis/internal/estimate"
 	"polis/internal/logic"
+	"polis/internal/pipeline"
 	"polis/internal/rtos"
 	"polis/internal/sgraph"
 	"polis/internal/sim"
 	"polis/internal/vm"
 )
-
-// synthesize runs the full per-CFSM flow and returns the s-graph and
-// assembled program.
-func synthesize(m *cfsm.CFSM, ord sgraph.Ordering, opts codegen.Options) (*sgraph.SGraph, *vm.Program, error) {
-	r, err := cfsm.BuildReactive(m)
-	if err != nil {
-		return nil, nil, err
-	}
-	g, err := sgraph.Build(r, ord)
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := codegen.Assemble(g, codegen.NewSignalMap(m), opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, p, nil
-}
 
 // ---------------------------------------------------------------- T1
 
@@ -64,22 +46,13 @@ type Table1Row struct {
 // dashboard modules on the given target.
 func Table1(prof *vm.Profile) ([]Table1Row, error) {
 	d := designs.NewDashboard()
-	params, err := estimate.Calibrate(prof)
-	if err != nil {
-		return nil, err
-	}
 	var rows []Table1Row
 	for _, m := range d.Modules() {
-		g, p, err := synthesize(m, sgraph.OrderSiftAfterSupport, codegen.Options{})
+		a, err := pipeline.SynthesizeModule(m, pipeline.Options{Target: prof}, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", m.Name, err)
 		}
-		est := estimate.EstimateSGraph(g, params, estimate.Options{})
-		act, err := vm.AnalyzeCycles(prof, p, codegen.EntryLabel(m))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", m.Name, err)
-		}
-		actSize := int64(prof.CodeSize(p))
+		est, act, actSize := a.Estimate, a.Measured, int64(a.CodeSize)
 		rows = append(rows, Table1Row{
 			Module:     m.Name,
 			EstSize:    est.CodeBytes,
@@ -137,11 +110,11 @@ func Table2(prof *vm.Profile) ([]Table2Row, error) {
 		for _, ord := range []sgraph.Ordering{
 			sgraph.OrderNaive, sgraph.OrderSiftInputsFirst, sgraph.OrderSiftAfterSupport,
 		} {
-			_, p, err := synthesize(m, ord, codegen.Options{})
+			a, err := pipeline.SynthesizeModule(m, pipeline.Options{Target: prof, Ordering: ord}, nil)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", m.Name, ord, err)
 			}
-			sz := int64(prof.CodeSize(p))
+			sz := int64(a.CodeSize)
 			switch ord {
 			case sgraph.OrderNaive:
 				row.Naive = sz
@@ -230,19 +203,19 @@ func Table3(prof *vm.Profile) ([]Table3Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, p, err := synthesize(prod, sgraph.OrderSiftAfterSupport, codegen.Options{})
+	a, err := pipeline.SynthesizeModule(prod, pipeline.Options{Target: prof}, nil)
 	if err != nil {
 		return nil, err
 	}
 	synthV3 := time.Since(start)
-	cycles, err := runProductVM(prod, g, p, prof, stimuli)
+	cycles, err := runProductVM(prod, a.Program, prof, stimuli)
 	if err != nil {
 		return nil, err
 	}
 	rows = append(rows, Table3Row{
 		Approach:  "ESTEREL",
-		CodeBytes: int64(prof.CodeSize(p)),
-		DataBytes: int64(prof.DataSize(p)),
+		CodeBytes: int64(a.CodeSize),
+		DataBytes: int64(prof.DataSize(a.Program)),
 		SimCycles: cycles,
 		Synthesis: synthV3,
 	})
@@ -262,7 +235,7 @@ func Table3(prof *vm.Profile) ([]Table3Row, error) {
 		return nil, err
 	}
 	synthOpt := time.Since(start)
-	cyclesOpt, err := runProductVM(prod, g, cp, prof, stimuli)
+	cyclesOpt, err := runProductVM(prod, cp, prof, stimuli)
 	if err != nil {
 		return nil, err
 	}
@@ -294,8 +267,7 @@ func beltWorkload(d *designs.Dashboard, until int64) []sim.Stimulus {
 // runProductVM executes the single product machine on the VM over the
 // stimulus stream: one synchronous reaction per instant at which any
 // input event is present (the product consumes the whole snapshot).
-func runProductVM(prod *cfsm.CFSM, g *sgraph.SGraph, p *vm.Program,
-	prof *vm.Profile, stimuli []sim.Stimulus) (int64, error) {
+func runProductVM(prod *cfsm.CFSM, p *vm.Program, prof *vm.Profile, stimuli []sim.Stimulus) (int64, error) {
 	host := &productHost{byID: map[int]*cfsm.Signal{}}
 	sigs := codegen.NewSignalMap(prod)
 	for s, id := range sigs {
@@ -323,7 +295,6 @@ func runProductVM(prod *cfsm.CFSM, g *sgraph.SGraph, p *vm.Program,
 		}
 		total += cycles
 	}
-	_ = g
 	return total, nil
 }
 

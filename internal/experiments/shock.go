@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 
+	"polis/internal/codegen"
 	"polis/internal/designs"
+	"polis/internal/pipeline"
 	"polis/internal/rtos"
 	"polis/internal/sgraph"
 	"polis/internal/sim"
@@ -51,14 +53,15 @@ func ShockAbsorberExperiment(prof *vm.Profile) (*ShockReport, error) {
 	size := func(copyOpt bool) (int64, int64, error) {
 		var rom, ram int64
 		for _, m := range s.Modules() {
-			opts := sim.Options{Profile: prof, Ordering: sgraph.OrderSiftAfterSupport}
-			opts.Codegen.OptimizeCopies = copyOpt
-			_, code, data, err := sim.BuildVMTask(m, opts)
+			a, err := pipeline.SynthesizeModule(m, pipeline.Options{
+				Target:  prof,
+				Codegen: codegen.Options{OptimizeCopies: copyOpt},
+			}, nil)
 			if err != nil {
 				return 0, 0, fmt.Errorf("%s: %w", m.Name, err)
 			}
-			rom += code
-			ram += data
+			rom += int64(a.CodeSize)
+			ram += int64(prof.DataSize(a.Program))
 		}
 		return rom, ram, nil
 	}

@@ -17,7 +17,9 @@
 //     per-stage wall time, BDD peak node counts, sift passes, and
 //     cache hit/miss counters.
 //
-// The root polis package exposes this as polis.SynthesizeNetwork.
+// The root polis package exposes this as polis.SynthesizeNetwork, and
+// SynthesizeModule is the one per-module synthesis path every other
+// flow builds on (see DESIGN.md section 15).
 package pipeline
 
 import (
@@ -37,32 +39,38 @@ import (
 	"polis/internal/vm"
 )
 
-// Options mirrors the root package's synthesis options; the root
-// package converts between the two (it cannot be imported from here
-// without a cycle).
+// Options selects the synthesis configuration of one module. The root
+// package exports it as polis.Options; every flow that synthesizes a
+// module (the CLIs, the service, the sharded driver, co-simulation and
+// the experiments) passes one of these to SynthesizeModule or Run.
 type Options struct {
-	// Ordering is the s-graph variable-ordering strategy.
+	// Ordering is the s-graph variable-ordering strategy; the zero
+	// value is the paper's default (dynamic sifting with each output
+	// constrained after its support).
 	Ordering sgraph.Ordering
 	// Target selects the cost profile; nil means the HC11-class
-	// micro-controller.
+	// micro-controller (vm.DefaultHC11).
 	Target *vm.Profile
-	// Codegen tunes code generation.
+	// Codegen tunes code generation (copy optimisation, if/switch
+	// threshold).
 	Codegen codegen.Options
 	// UseFalsePaths tightens the worst-case estimate using declared
 	// test exclusivities.
 	UseFalsePaths bool
-	// Reduce runs the fixed-point s-graph reduction engine (sharing,
-	// don't-care TEST elimination, ASSIGN straightening) between
-	// s-graph construction and code generation.
+	// Reduce runs the fixed-point s-graph reduction engine (DAG
+	// sharing, don't-care TEST elimination, ASSIGN straightening)
+	// between s-graph construction and code generation.
 	Reduce bool
 	// ReduceOpt tunes the reduction passes; the zero value runs all
 	// passes with default limits.
 	ReduceOpt sgraph.ReduceOptions
-	// Profile, when non-nil, enables the profile-guided specialization
-	// stage for every module the profile has evidence for: TEST
-	// outcome edges are reordered hottest-first (equivalence-gated),
-	// and the estimate stage reports the profile-weighted expected
-	// cycles next to the worst-case bound.
+	// Profile, when non-nil, enables profile-guided specialization:
+	// TEST outcome edges of each module the profile has evidence for
+	// are reordered so the observed hot path becomes the fall-through
+	// path, gated by an exhaustive equivalence check, and the estimate
+	// additionally reports the profile-weighted expected cycles.
+	// Capture profiles with internal/profile's Collector (e.g.
+	// cfsmsim -profile-out).
 	Profile *profile.Profile
 }
 
@@ -118,11 +126,11 @@ type Artifact struct {
 	Program *vm.Program
 }
 
-// Report renders the one-screen per-module summary (the same layout
-// as polis.Artifacts.Report) from the cached statistics, so it works
-// for disk-restored artifacts too. A zero measured code size reports
-// the estimation error as n/a rather than dividing by zero.
-func (a *Artifact) Report(target *vm.Profile) string {
+// Report renders the one-screen per-module summary from the cached
+// statistics, so it works for disk-restored artifacts too. A zero
+// measured code size reports the estimation error as n/a rather than
+// dividing by zero.
+func (a *Artifact) Report() string {
 	errPct := "n/a"
 	if a.CodeSize != 0 {
 		errPct = fmt.Sprintf("%.1f%%",

@@ -109,32 +109,26 @@ type WireOptions struct {
 	Reduce         bool   `json:"reduce,omitempty"`
 }
 
-// Target profiles are process-lifetime singletons so that every
-// request shares one calibration memo entry and one fingerprint
-// stream per target name (estimate.CalibrateCached and the pipeline
-// cache both key on the profile by identity/name). The HC11 one is the
-// default every other flow shares.
-var profR3K = vm.R3K()
-
-// Options resolves the wire options to pipeline options.
+// Options resolves the wire options to pipeline options. Targets
+// resolve to vm.ProfileByName's process-wide singletons, so every
+// request shares one calibration memo entry and one fingerprint stream
+// per target name; "sift" is the service's extra name for the default
+// ordering.
 func (w WireOptions) Options() (pipeline.Options, error) {
 	var o pipeline.Options
-	switch w.Target {
-	case "", "hc11":
-		o.Target = vm.DefaultHC11()
-	case "r3k":
-		o.Target = profR3K
-	default:
+	var err error
+	target := w.Target
+	if target == "" {
+		target = "hc11"
+	}
+	if o.Target, err = vm.ProfileByName(target); err != nil {
 		return o, fmt.Errorf("unknown target %q (want hc11 or r3k)", w.Target)
 	}
-	switch w.Ordering {
-	case "", "default", "sift":
-		o.Ordering = sgraph.OrderSiftAfterSupport
-	case "naive":
-		o.Ordering = sgraph.OrderNaive
-	case "inputs-first":
-		o.Ordering = sgraph.OrderSiftInputsFirst
-	default:
+	ordering := w.Ordering
+	if ordering == "" || ordering == "sift" {
+		ordering = "default"
+	}
+	if o.Ordering, err = sgraph.ParseOrdering(ordering); err != nil {
 		return o, fmt.Errorf("unknown ordering %q (want default, naive or inputs-first)", w.Ordering)
 	}
 	o.Codegen.OptimizeCopies = w.OptimizeCopies

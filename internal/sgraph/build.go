@@ -38,6 +38,36 @@ func (o Ordering) String() string {
 	}
 }
 
+// orderingNames spells each ordering as the command-line tools and the
+// service's wire form do. ParseOrdering reads it forwards and
+// Ordering.Name backwards, so it is the one table of ordering names.
+var orderingNames = [...]string{
+	OrderSiftAfterSupport: "default",
+	OrderNaive:            "naive",
+	OrderSiftInputsFirst:  "inputs-first",
+}
+
+// ParseOrdering resolves an ordering name as the command-line tools
+// spell it: "default" (sift each output after its support), "naive"
+// or "inputs-first".
+func ParseOrdering(name string) (Ordering, error) {
+	for o, n := range orderingNames {
+		if n == name {
+			return Ordering(o), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown ordering %q", name)
+}
+
+// Name is ParseOrdering's inverse; ok is false for a value that is
+// not one of the named orderings.
+func (o Ordering) Name() (name string, ok bool) {
+	if o < 0 || int(o) >= len(orderingNames) {
+		return "", false
+	}
+	return orderingNames[o], true
+}
+
 // Build runs the paper's procedure build (Section III-B2): it sifts
 // the characteristic-function BDD according to the requested ordering
 // and then recursively constructs the s-graph by Shannon cofactoring,

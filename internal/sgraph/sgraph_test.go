@@ -422,3 +422,24 @@ func TestCheckWellFormedVertexIDs(t *testing.T) {
 		t.Errorf("duplicate vertex ID: error %v, want a shared-ID report", err)
 	}
 }
+
+// TestOrderingNames: ParseOrdering and Ordering.Name are inverses over
+// the named orderings, and nothing else has a name.
+func TestOrderingNames(t *testing.T) {
+	for _, o := range []Ordering{OrderSiftAfterSupport, OrderNaive, OrderSiftInputsFirst} {
+		name, ok := o.Name()
+		if !ok {
+			t.Fatalf("%v has no name", o)
+		}
+		back, err := ParseOrdering(name)
+		if err != nil || back != o {
+			t.Errorf("ParseOrdering(%q) = %v, %v; want %v", name, back, err, o)
+		}
+	}
+	if name, ok := Ordering(3).Name(); ok {
+		t.Errorf("Ordering(3).Name() = %q, want none", name)
+	}
+	if _, err := ParseOrdering("sift"); err == nil {
+		t.Error(`ParseOrdering("sift") succeeded`)
+	}
+}

@@ -56,28 +56,17 @@ type Result struct {
 // workers' fingerprints and break the shuffle-layer lookup).
 func wireOptions(opt pipeline.Options) (polisd.WireOptions, error) {
 	var w polisd.WireOptions
-	switch opt.Target {
-	case nil:
-	default:
-		switch opt.Target.Name {
-		case vm.HC11().Name:
-			w.Target = "hc11"
-		case vm.R3K().Name:
-			w.Target = "r3k"
-		default:
+	if opt.Target != nil {
+		if _, err := vm.ProfileByName(opt.Target.Name); err != nil {
 			return w, fmt.Errorf("shard: target %q not supported in process mode", opt.Target.Name)
 		}
+		w.Target = opt.Target.Name
 	}
-	switch opt.Ordering {
-	case sgraph.OrderSiftAfterSupport:
-		w.Ordering = "default"
-	case sgraph.OrderNaive:
-		w.Ordering = "naive"
-	case sgraph.OrderSiftInputsFirst:
-		w.Ordering = "inputs-first"
-	default:
+	name, ok := opt.Ordering.Name()
+	if !ok {
 		return w, fmt.Errorf("shard: ordering %v not supported in process mode", opt.Ordering)
 	}
+	w.Ordering = name
 	w.OptimizeCopies = opt.Codegen.OptimizeCopies
 	w.IfThreshold = opt.Codegen.IfThreshold
 	w.UseFalsePaths = opt.UseFalsePaths

@@ -224,8 +224,8 @@ func BenchmarkSimSpecialization(b *testing.B) {
 // rewrite: on a 100-module network whose stimuli cascade through
 // machine chains (~66k reactions per run), the dense engine's
 // simulation loop must be at least 3x faster than the frozen
-// pre-change reference. Task construction — identical work in both
-// engines, dominated by BDD synthesis — is measured via an empty run
+// pre-change reference. Task construction — dominated by BDD
+// synthesis in both engines — is measured per engine via an empty run
 // and subtracted, so the gate isolates exactly what the rewrite
 // changed. Both engines must agree on the reaction count first, so the
 // gate cannot pass by doing less work.

@@ -25,7 +25,7 @@ import (
 
 	"polis/internal/cfsm"
 	"polis/internal/codegen"
-	"polis/internal/estimate"
+	"polis/internal/pipeline"
 	"polis/internal/profile"
 	"polis/internal/rtos"
 	"polis/internal/sgraph"
@@ -90,8 +90,11 @@ type Options struct {
 	// code generation): each module with evidence in the profile gets
 	// its TEST outcome edges reordered hottest-first through
 	// sgraph.SpecializeChecked, so the equivalence gate runs on every
-	// specialized graph. Behavioral runs also report the
-	// profile-weighted expected cycles through the estimator.
+	// specialized graph. Behavioral runs charge the specialized graph's
+	// estimated MaxCycles per reaction, as without a profile; the
+	// profile-weighted expected cycles are reported by synthesis
+	// (pipeline.Artifact's Estimate.ExpectedCycles, printed by polisc
+	// -profile -specialize), not by the simulator.
 	Specialize *profile.Profile
 	// Probe, when non-nil, observes every delivery and execution in
 	// the underlying RTOS model (see rtos.Probe). With Partition it
@@ -151,7 +154,8 @@ type vmTask struct {
 	inSlot    []int
 	stateAddr []int
 
-	// differential-check state (populated when checks are enabled)
+	// differential-check state: the artifact's analyzer bounds and
+	// estimated worst case, read when checks are enabled
 	check  CheckOptions
 	bounds vm.PathCycles
 	estMax int64
@@ -274,38 +278,33 @@ func (t *vmTask) checkCycles(cycles int64) error {
 	return nil
 }
 
-// BuildVMTask assembles a machine and returns its RTOS task plus its
-// memory footprint on the profile.
+// synthOptions maps the simulator's synthesis fields onto the
+// pipeline's options, so every task runs the code the compiler emits.
+func (o Options) synthOptions() pipeline.Options {
+	return pipeline.Options{
+		Target:   o.Profile,
+		Ordering: o.Ordering,
+		Codegen:  o.Codegen,
+		Reduce:   o.Reduce,
+		Profile:  o.Specialize,
+	}
+}
+
+// BuildVMTask synthesizes a machine through pipeline.SynthesizeModule
+// and returns its RTOS task plus its memory footprint on the profile.
 func BuildVMTask(m *cfsm.CFSM, opt Options) (*rtos.Task, int64, int64, error) {
-	r, err := cfsm.BuildReactive(m)
+	a, err := pipeline.SynthesizeModule(m, opt.synthOptions(), nil)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	g, err := sgraph.Build(r, opt.Ordering)
-	r.Space.Release()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if opt.Reduce {
-		g.Reduce(sgraph.ReduceOptions{})
-	}
-	if opt.Specialize != nil {
-		if sp := opt.Specialize.Module(m.Name).Spec(); sp != nil {
-			if _, err := g.SpecializeChecked(sp); err != nil {
-				return nil, 0, 0, err
-			}
-		}
-	}
-	sigs := codegen.NewSignalMap(m)
-	prog, err := codegen.Assemble(g, sigs, opt.Codegen)
-	if err != nil {
-		return nil, 0, 0, err
-	}
+	g, prog, sigs := a.SGraph, a.Program, codegen.NewSignalMap(m)
 	lay := cfsm.NewLayout(m)
 	vt := &vmTask{
 		g: g, prog: prog, sigs: sigs, lay: lay,
-		entry: codegen.EntryLabel(m),
-		check: opt.Check,
+		entry:  codegen.EntryLabel(m),
+		check:  opt.Check,
+		bounds: a.Measured,
+		estMax: a.Estimate.MaxCycles,
 	}
 	maxID := -1
 	for _, id := range sigs {
@@ -326,23 +325,10 @@ func BuildVMTask(m *cfsm.CFSM, opt Options) (*rtos.Task, int64, int64, error) {
 	for i, sv := range lay.States {
 		vt.stateAddr[i] = prog.Symbols["st_"+sv.Name]
 	}
-	if opt.Check.CycleBounds {
-		vt.bounds, err = vm.AnalyzeCycles(opt.Profile, prog, codegen.EntryLabel(m))
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		params, err := estimate.CalibrateCached(opt.Profile)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		vt.estMax = estimate.EstimateSGraph(g, params, estimate.Options{Codegen: opt.Codegen}).MaxCycles
-	}
 	vt.machine = vm.NewMachine(opt.Profile, prog.Words, vt)
 	codegen.InitStateMemory(g, prog, vt.machine)
 	task := rtos.NewDenseTask(m, lay, vt.react, func() int64 { return vt.cycles })
-	code := int64(opt.Profile.CodeSize(prog))
-	data := int64(opt.Profile.DataSize(prog))
-	return task, code, data, nil
+	return task, int64(a.CodeSize), int64(opt.Profile.DataSize(prog)), nil
 }
 
 // Run simulates the network until the given cycle, injecting the
@@ -367,13 +353,8 @@ func RunContext(ctx context.Context, n *cfsm.Network, stimuli []Stimulus, until 
 // runSingle simulates a network on one RTOS instance.
 func runSingle(ctx context.Context, n *cfsm.Network, stimuli []Stimulus, until int64, opt Options) (*Result, error) {
 	res := &Result{}
-	params, err := estimate.CalibrateCached(opt.Profile)
-	if err != nil {
-		return nil, err
-	}
 	mk := func(m *cfsm.CFSM) (*rtos.Task, error) {
-		switch opt.Mode {
-		case VMExact:
+		if opt.Mode == VMExact {
 			t, code, data, err := BuildVMTask(m, opt)
 			if err != nil {
 				return nil, err
@@ -381,33 +362,15 @@ func runSingle(ctx context.Context, n *cfsm.Network, stimuli []Stimulus, until i
 			res.CodeBytes += code
 			res.DataBytes += data
 			return t, nil
-		default:
-			r, err := cfsm.BuildReactive(m)
-			if err != nil {
-				return nil, err
-			}
-			g, err := sgraph.Build(r, opt.Ordering)
-			r.Space.Release()
-			if err != nil {
-				return nil, err
-			}
-			if opt.Reduce {
-				g.Reduce(sgraph.ReduceOptions{})
-			}
-			estOpts := estimate.Options{Codegen: opt.Codegen}
-			if opt.Specialize != nil {
-				if sp := opt.Specialize.Module(m.Name).Spec(); sp != nil {
-					if _, err := g.SpecializeChecked(sp); err != nil {
-						return nil, err
-					}
-					estOpts.ScenarioProfile = sp
-				}
-			}
-			est := estimate.EstimateSGraph(g, params, estOpts)
-			res.CodeBytes += est.CodeBytes
-			res.DataBytes += est.DataBytes
-			return rtos.NewBehavioralTask(m, func() int64 { return est.MaxCycles }), nil
 		}
+		a, err := pipeline.SynthesizeModule(m, opt.synthOptions(), nil)
+		if err != nil {
+			return nil, err
+		}
+		res.CodeBytes += a.Estimate.CodeBytes
+		res.DataBytes += a.Estimate.DataBytes
+		maxCycles := a.Estimate.MaxCycles
+		return rtos.NewBehavioralTask(m, func() int64 { return maxCycles }), nil
 	}
 	sys, err := rtos.NewSystem(n, opt.Cfg, mk)
 	if err != nil {

@@ -1,6 +1,10 @@
 package vm
 
-import "polis/internal/expr"
+import (
+	"fmt"
+
+	"polis/internal/expr"
+)
 
 // Profile is the cost model of one target system: per-instruction
 // sizes in bytes and timings in clock cycles, arithmetic library
@@ -101,6 +105,23 @@ var defaultHC11 = HC11()
 // read-only: a caller that needs to change cost tables must start
 // from HC11() instead.
 func DefaultHC11() *Profile { return defaultHC11 }
+
+// defaultR3K is the R3K profile ProfileByName shares.
+var defaultR3K = R3K()
+
+// ProfileByName resolves a target name as the command-line tools and
+// the service spell it ("hc11" or "r3k") to a process-wide, read-only
+// profile: DefaultHC11 or the shared R3K. Every caller naming a
+// target thus shares one calibration memo entry per target.
+func ProfileByName(name string) (*Profile, error) {
+	switch name {
+	case "hc11":
+		return defaultHC11, nil
+	case "r3k":
+		return defaultR3K, nil
+	}
+	return nil, fmt.Errorf("unknown target %q", name)
+}
 
 // R3K returns the 32-bit RISC profile: uniform 4-byte instructions,
 // single-cycle ALU, hardware multiply/divide, no short branches.

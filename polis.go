@@ -22,90 +22,23 @@ package polis
 
 import (
 	"context"
-	"fmt"
 
 	"polis/internal/cfsm"
 	"polis/internal/codegen"
 	"polis/internal/esterel"
-	"polis/internal/estimate"
 	"polis/internal/pipeline"
-	"polis/internal/profile"
 	"polis/internal/rtos"
-	"polis/internal/sgraph"
 	"polis/internal/vm"
 )
 
-// Options selects the synthesis configuration.
-type Options struct {
-	// Ordering is the s-graph variable-ordering strategy; the zero
-	// value is the paper's default (dynamic sifting with each output
-	// constrained after its support).
-	Ordering sgraph.Ordering
-	// Target selects the cost profile; nil means the HC11-class
-	// micro-controller.
-	Target *vm.Profile
-	// Codegen tunes code generation (copy optimisation, if/switch
-	// threshold).
-	Codegen codegen.Options
-	// UseFalsePaths tightens the worst-case estimate using declared
-	// test exclusivities.
-	UseFalsePaths bool
-	// Reduce runs the fixed-point s-graph reduction engine (DAG
-	// sharing, don't-care TEST elimination, ASSIGN straightening)
-	// between s-graph construction and code generation.
-	Reduce bool
-	// ReduceOpt tunes the reduction passes; the zero value runs all
-	// passes with default limits.
-	ReduceOpt sgraph.ReduceOptions
-	// Profile, when non-nil, enables profile-guided specialization:
-	// TEST outcome edges of each covered module are reordered so the
-	// observed hot path becomes the fall-through path, gated by an
-	// exhaustive equivalence check, and the estimate additionally
-	// reports profile-weighted expected cycles. Capture profiles with
-	// internal/profile's Collector (e.g. cfsmsim -profile-out).
-	Profile *profile.Profile
-}
+// Options selects the synthesis configuration; see pipeline.Options
+// for the fields.
+type Options = pipeline.Options
 
-func (o *Options) fill() {
-	if o.Target == nil {
-		o.Target = vm.DefaultHC11()
-	}
-}
-
-// Pipeline converts Options to the internal pipeline's mirror of the
-// same structure, with defaults filled in. Sharded drivers (see
-// internal/shard and polisc -shards) need it so every worker
-// fingerprints modules exactly as the single-process flow does.
-func (o Options) Pipeline() pipeline.Options {
-	o.fill()
-	return o.pipelineOptions()
-}
-
-// pipelineOptions converts Options to the internal pipeline's mirror
-// of the same structure.
-func (o Options) pipelineOptions() pipeline.Options {
-	return pipeline.Options{
-		Ordering:      o.Ordering,
-		Target:        o.Target,
-		Codegen:       o.Codegen,
-		UseFalsePaths: o.UseFalsePaths,
-		Reduce:        o.Reduce,
-		ReduceOpt:     o.ReduceOpt,
-		Profile:       o.Profile,
-	}
-}
-
-// Artifacts bundles everything synthesis produces for one CFSM.
-type Artifacts struct {
-	CFSM     *cfsm.CFSM
-	SGraph   *sgraph.SGraph
-	C        string      // generated C routine
-	Program  *vm.Program // object code for the virtual target
-	Listing  string      // assembly listing
-	Estimate estimate.Result
-	Measured vm.PathCycles // exact min/max cycles from the object code
-	CodeSize int           // measured bytes
-}
+// Artifacts bundles everything synthesis produces for one CFSM: the
+// generated C, the object code and its listing, the estimate and the
+// exact measurements, the s-graph and its statistics.
+type Artifacts = pipeline.Artifact
 
 // Synthesize runs the complete per-CFSM flow of Section III: reactive
 // function extraction, BDD sifting, s-graph construction (Theorem 1),
@@ -113,21 +46,7 @@ type Artifacts struct {
 // the single-module, untraced form of SynthesizeNetwork; both share
 // the staged implementation in internal/pipeline.
 func Synthesize(m *cfsm.CFSM, opt Options) (*Artifacts, error) {
-	opt.fill()
-	a, err := pipeline.SynthesizeModule(m, opt.pipelineOptions(), nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Artifacts{
-		CFSM:     m,
-		SGraph:   a.SGraph,
-		C:        a.C,
-		Program:  a.Program,
-		Listing:  a.Listing,
-		Estimate: a.Estimate,
-		Measured: a.Measured,
-		CodeSize: a.CodeSize,
-	}, nil
+	return pipeline.SynthesizeModule(m, opt, nil)
 }
 
 // SynthesizeNetwork synthesizes every machine of the network through
@@ -137,18 +56,16 @@ func Synthesize(m *cfsm.CFSM, opt Options) (*Artifacts, error) {
 // per-stage timings and cache counters to cfg.Trace. Artifacts are
 // returned in the network's machine order regardless of completion
 // order, so results are deterministic for any worker count.
-func SynthesizeNetwork(n *cfsm.Network, opt Options, cfg pipeline.Config) ([]*pipeline.Artifact, error) {
-	opt.fill()
-	return pipeline.Run(n, opt.pipelineOptions(), cfg)
+func SynthesizeNetwork(n *cfsm.Network, opt Options, cfg pipeline.Config) ([]*Artifacts, error) {
+	return pipeline.Run(n, opt, cfg)
 }
 
 // SynthesizeNetworkContext is SynthesizeNetwork under a context, for
 // service callers (see cmd/polisd): cancellation or deadline expiry
 // stops scheduling remaining modules and aborts in-flight ones at
 // their next stage boundary, returning the context's error.
-func SynthesizeNetworkContext(ctx context.Context, n *cfsm.Network, opt Options, cfg pipeline.Config) ([]*pipeline.Artifact, error) {
-	opt.fill()
-	return pipeline.RunContext(ctx, n, opt.pipelineOptions(), cfg)
+func SynthesizeNetworkContext(ctx context.Context, n *cfsm.Network, opt Options, cfg pipeline.Config) ([]*Artifacts, error) {
+	return pipeline.RunContext(ctx, n, opt, cfg)
 }
 
 // SynthesizeSource parses an Esterel-subset module (see
@@ -180,29 +97,4 @@ func GenerateRTOS(n *cfsm.Network, cfg rtos.Config, target *vm.Profile) (string,
 	}
 	src := codegen.RTOSHeader() + "\n" + rtos.GenerateC(n, cfg, sigID)
 	return src, rtos.SizeEstimate(target, n, cfg), nil
-}
-
-// Report renders a one-screen summary of synthesis artifacts. A zero
-// measured code size reports the estimation error as n/a rather than
-// dividing by zero.
-func (a *Artifacts) Report(target *vm.Profile) string {
-	if target == nil {
-		target = vm.DefaultHC11()
-	}
-	st := a.SGraph.ComputeStats()
-	errPct := "n/a"
-	if a.CodeSize != 0 {
-		errPct = fmt.Sprintf("%.1f%%",
-			100*float64(a.Estimate.CodeBytes-int64(a.CodeSize))/float64(a.CodeSize))
-	}
-	return fmt.Sprintf(
-		`CFSM %s: %d tests, %d actions, %d transitions
-s-graph: %d vertices (%d TEST, %d ASSIGN), depth %d, %d paths
-code: %d bytes measured (%d estimated, %s error)
-cycles per transition: measured [%d, %d], estimated [%d, %d]
-`,
-		a.CFSM.Name, len(a.CFSM.Tests), len(a.CFSM.Actions), len(a.CFSM.Trans),
-		st.Vertices, st.Tests, st.Assigns, st.Depth, st.Paths,
-		a.CodeSize, a.Estimate.CodeBytes, errPct,
-		a.Measured.Min, a.Measured.Max, a.Estimate.MinCycles, a.Estimate.MaxCycles)
 }
